@@ -46,12 +46,8 @@ from .oracles import (
     OracleBudget,
     decode_tree,
     enumerate_trees,
-    oracle_irr,
     oracle_min_parts,
     oracle_mixed,
-    oracle_reg_irr,
-    oracle_sr,
-    oracle_wr,
 )
 from .reductions import (
     Gadget,

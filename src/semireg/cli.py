@@ -7,7 +7,8 @@ block of "key: value" lines in a fixed order, so identical inputs give
 byte-identical output; wall-clock timing goes to stderr only.
 
 Exit codes: 0 success, 1 negative decision (NO / UNSAT / not found),
-2 input error, 3 budget error, 4 failed self-verification.
+2 input error, 3 budget error, 4 failed self-verification, 5 internal
+error (any other exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_UNVERIFIED = 4
+EXIT_INTERNAL = 5
 
 _FAMILIES = {f.value: f for f in Family}
 
@@ -139,13 +141,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_oracle(args) -> int:
     g, digest = _load_graph(args.graph)
     budget = oracles.OracleBudget(max_edges=args.max_edges, max_parts=args.max_parts)
-    fam = _FAMILIES.get(args.family)
-    if fam is not None:
-        result = oracles.oracle_min_parts(g, fam, budget)
-    elif args.family == "mixed":
-        result = oracles.oracle_mixed(g, budget)
-    else:
-        raise ParseError(f"unknown family {args.family!r}")
+    fam = _FAMILIES[args.family]
+    result = oracles.oracle_min_parts(g, fam, budget)
     report = RunReport(f"oracle {args.family}", digest)
     if result is None:
         report.add("min-parts", f"> {args.max_parts}")
@@ -153,7 +150,7 @@ def _cmd_oracle(args) -> int:
         return EXIT_NO
     k, witness = result
     report.add("min-parts", k)
-    if fam is not None and k > 0:
+    if k > 0:
         verified = _partition_summary(report, g, witness, fam)
     else:
         verified = True
@@ -167,10 +164,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     g, digest = _load_graph(args.graph)
     p = families.parse_partition(_read_text(args.partition))
-    fam = _FAMILIES.get(args.family)
-    if fam is None:
-        raise ParseError(f"unknown family {args.family!r}")
-    ok = families.verify_partition(g, p, fam)
+    ok = families.verify_partition(g, p, _FAMILIES[args.family])
     report = RunReport(f"verify {args.family}", digest)
     report.add("parts", p.k)
     report.add("valid", "true" if ok else "false")
@@ -280,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "regular, and locally irregular subgraphs.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    family_tokens = sorted(_FAMILIES) + ["mixed"]
+    family_tokens = sorted(_FAMILIES)
 
     p = sub.add_parser("decide", help="tree decision procedures")
     dsub = p.add_subparsers(dest="decision", required=True)
@@ -310,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a partition file against a family")
     p.add_argument("graph")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    p.add_argument("--family", choices=family_tokens, required=True)
     p.add_argument("--partition", required=True)
     p.set_defaults(fn=_cmd_verify)
 
@@ -360,6 +354,12 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        import traceback  # imported here to keep it off every start-up
+
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         elapsed = (time.perf_counter() - start) * 1000
         print(f"elapsed: {elapsed:.1f} ms", file=sys.stderr)

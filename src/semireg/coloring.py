@@ -2,10 +2,10 @@
 
 bipartite_color gives an exact max-degree coloring of bipartite graphs by
 alternating-path recoloring; vizing colors any simple graph with at most
-max_degree + 1 colors by fan rotation.  two_factorize splits a 2k-regular
-multigraph into k spanning 2-regular factors via an Euler orientation and
-repeated perfect matchings, which powers the degree-at-most-4 weakly
-semiregular split and the general semiregular bound.
+max_degree + 1 colors by fan rotation, which powers the general
+semiregular bound.  two_factorize splits a 2k-regular multigraph into k
+spanning 2-regular factors via an Euler orientation and repeated perfect
+matchings, which powers the degree-at-most-4 weakly semiregular split.
 """
 
 from __future__ import annotations
@@ -216,21 +216,40 @@ def _peel_matchings(n: int, arcs: list[tuple[int, int, int]], k: int) -> list[li
     for _ in range(k):
         match_head: dict[int, int] = {}
 
-        def claim(t: int, visited: set[int]) -> bool:
-            for idx in by_tail[t]:
-                if not alive[idx]:
+        def claim(root: int) -> bool:
+            """Depth-first augmenting path from ``root``, trying arcs in
+            ``by_tail`` order; the path lives on an explicit stack, since
+            it can be as long as the graph."""
+            visited: set[int] = set()
+            stack = [[root, 0]]  # [tail, next position in by_tail[tail]]
+            taken: list[int] = []  # the arc leaving each frame below the top
+            while stack:
+                frame = stack[-1]
+                out = by_tail[frame[0]]
+                i = frame[1]
+                while i < len(out):
+                    idx = out[i]
+                    i += 1
+                    h = arcs[idx][1]
+                    if alive[idx] and h not in visited:
+                        break
+                else:
+                    stack.pop()
+                    if taken:
+                        taken.pop()
                     continue
-                h = arcs[idx][1]
-                if h in visited:
-                    continue
+                frame[1] = i
                 visited.add(h)
-                if h not in match_head or claim(arcs[match_head[h]][0], visited):
-                    match_head[h] = idx
+                taken.append(idx)
+                if h not in match_head:
+                    for a in taken:
+                        match_head[arcs[a][1]] = a
                     return True
+                stack.append([arcs[match_head[h]][0], 0])
             return False
 
         for t in tails:
-            ok = claim(t, set())
+            ok = claim(t)
             assert ok, "regular bipartite incidence graph must have a perfect matching"
         chosen = sorted(match_head.values())
         for idx in chosen:

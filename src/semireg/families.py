@@ -9,7 +9,10 @@ degrees (parallel edges count twice).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 from .errors import ParseError
 from .graph import Graph
@@ -22,6 +25,7 @@ class Family(enum.Enum):
     LOCALLY_REGULAR = "locally-regular"
     LOCALLY_IRREGULAR = "locally-irregular"
     REGULAR_OR_LOCALLY_IRREGULAR = "regular-or-locally-irregular"
+    MIXED = "mixed"  # locally irregular or weakly semiregular
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,13 @@ def is_family(g: Graph, f: Family) -> bool:
     Degrees are taken over incident vertices only; a graph with no edges
     vacuously satisfies every family.
     """
-    deg = g.degrees()
-    ds = {d for d in deg if d > 0}
+    return _edges_fit(g.edges, f)
+
+
+def _edges_fit(edges: Sequence[tuple[int, int]], f: Family) -> bool:
+    """``is_family`` on the edge-induced graph of ``edges``."""
+    deg = Counter(chain.from_iterable(edges))
+    ds = set(deg.values())
     if f is Family.WEAKLY_SEMIREGULAR:
         return len(ds) <= 2
     if f is Family.SEMIREGULAR:
@@ -69,11 +78,13 @@ def is_family(g: Graph, f: Family) -> bool:
     if f is Family.REGULAR:
         return len(ds) <= 1
     if f is Family.LOCALLY_REGULAR:
-        return all(deg[u] == deg[v] for u, v in g.edges)
+        return all(deg[u] == deg[v] for u, v in edges)
     if f is Family.LOCALLY_IRREGULAR:
-        return all(deg[u] != deg[v] for u, v in g.edges)
+        return all(deg[u] != deg[v] for u, v in edges)
     if f is Family.REGULAR_OR_LOCALLY_IRREGULAR:
-        return is_family(g, Family.REGULAR) or is_family(g, Family.LOCALLY_IRREGULAR)
+        return len(ds) <= 1 or all(deg[u] != deg[v] for u, v in edges)
+    if f is Family.MIXED:
+        return len(ds) <= 2 or all(deg[u] != deg[v] for u, v in edges)
     raise ValueError(f"unknown family {f!r}")
 
 
@@ -81,14 +92,12 @@ def verify_partition(g: Graph, p: EdgePartition, f: Family) -> bool:
     """True iff every nonempty part's subgraph satisfies the family."""
     if len(p.part) != g.m:
         raise ValueError(f"partition covers {len(p.part)} edges, graph has {g.m}")
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(p.k)]
+    parts: dict[int, list[tuple[int, int]]] = {}
     for e, q in enumerate(p.part):
         if not 0 <= q < p.k:
             raise ValueError(f"edge {e} assigned to invalid part {q}")
-        buckets[q].append(g.edges[e])
-    return all(
-        is_family(Graph(g.n, tuple(edges)), f) for edges in buckets if edges
-    )
+        parts.setdefault(q, []).append(g.edges[e])
+    return all(_edges_fit(edges, f) for edges in parts.values())
 
 
 def wr_lower_bound(g: Graph, coarse: bool = False) -> int:
@@ -130,11 +139,11 @@ def parse_partition(text: str) -> EdgePartition:
         raise ParseError("line 1: header must be two integers") from None
     if k < 0 or m < 0:
         raise ParseError("line 1: negative counts in header")
+    if m > len(lines) - 1:
+        raise ParseError(f"line {len(lines) + 1}: expected {m} assignments, input ended early")
     part: list[int | None] = [None] * m
     for i in range(m):
         lineno = i + 2
-        if lineno - 1 >= len(lines):
-            raise ParseError(f"line {lineno}: expected {m} assignments, input ended early")
         fields = lines[lineno - 1].split()
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: assignment line must be 'edge_id part_id'")

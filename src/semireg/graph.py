@@ -225,8 +225,10 @@ def complement(g: Graph) -> Graph:
 
 
 def bfs_root(g: Graph, v: int) -> RootedTree:
-    if not classify(g).is_tree:
-        raise ValueError("bfs_root requires a tree")
+    """Root a tree at ``v``.  This is the tree test: a graph is a tree iff
+    it has n - 1 edges and the BFS from ``v`` reaches every vertex."""
+    if g.m != g.n - 1:
+        raise ValueError("input must be a tree")
     if not 0 <= v < g.n:
         raise ValueError(f"root {v} out of range")
     adj = g.adjacency()
@@ -243,6 +245,8 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
                 parent[w] = x
                 parent_edge[w] = e
                 queue.append(w)
+    if -1 in depth:
+        raise ValueError("input must be a tree")
     order = tuple(sorted(range(g.n), key=lambda x: (depth[x], x)))
     return RootedTree(
         graph=g,

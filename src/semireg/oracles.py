@@ -37,69 +37,30 @@ class OracleBudget:
             raise ValueError("invalid budget")
 
 
-_WSR = "wsr"
-_SEMI = "semi"
-_REG = "reg"
-_LOCREG = "locreg"
-_LOCIRR = "locirr"
-_REG_OR_IRR = "reg_or_irr"
-_MIXED = "mixed"
-
-_KIND_OF_FAMILY = {
-    Family.WEAKLY_SEMIREGULAR: _WSR,
-    Family.SEMIREGULAR: _SEMI,
-    Family.REGULAR: _REG,
-    Family.LOCALLY_REGULAR: _LOCREG,
-    Family.LOCALLY_IRREGULAR: _LOCIRR,
-    Family.REGULAR_OR_LOCALLY_IRREGULAR: _REG_OR_IRR,
-}
-
-
 def oracle_min_parts(
     g: Graph, f: Family, budget: Optional[OracleBudget] = None
 ) -> Optional[tuple[int, EdgePartition]]:
     """Least number of nonempty parts in an edge partition whose parts all
     satisfy the family, with a witness; None if no count within the part
     budget works."""
-    return _min_parts(g, _KIND_OF_FAMILY[f], budget)
-
-
-def oracle_wr(g: Graph, budget: Optional[OracleBudget] = None):
-    return _min_parts(g, _WSR, budget)
-
-
-def oracle_sr(g: Graph, budget: Optional[OracleBudget] = None):
-    return _min_parts(g, _SEMI, budget)
-
-
-def oracle_irr(g: Graph, budget: Optional[OracleBudget] = None):
-    return _min_parts(g, _LOCIRR, budget)
-
-
-def oracle_reg_irr(g: Graph, budget: Optional[OracleBudget] = None):
-    """Each part regular or locally irregular."""
-    return _min_parts(g, _REG_OR_IRR, budget)
-
-
-def oracle_mixed(g: Graph, budget: Optional[OracleBudget] = None):
-    """Each part locally irregular or weakly semiregular."""
-    return _min_parts(g, _MIXED, budget)
-
-
-def _min_parts(g: Graph, kind: str, budget: Optional[OracleBudget]):
     budget = budget or OracleBudget()
     if g.m > budget.max_edges:
         raise BudgetError(f"{g.m} edges exceed the budget of {budget.max_edges}")
     if g.m == 0:
         return 0, EdgePartition(0, ())
     for k in range(1, min(budget.max_parts, g.m) + 1):
-        found = _search_exact(g, kind, k)
+        found = _search_exact(g, f, k)
         if found is not None:
             return k, EdgePartition(k, tuple(found))
     return None
 
 
-def _search_exact(g: Graph, kind: str, k: int) -> Optional[list[int]]:
+def oracle_mixed(g: Graph, budget: Optional[OracleBudget] = None):
+    """Each part locally irregular or weakly semiregular."""
+    return oracle_min_parts(g, Family.MIXED, budget)
+
+
+def _search_exact(g: Graph, f: Family, k: int) -> Optional[list[int]]:
     """First canonical assignment onto exactly k nonempty valid parts."""
     m, n = g.m, g.n
     edges = g.edges
@@ -119,7 +80,15 @@ def _search_exact(g: Graph, kind: str, k: int) -> Optional[list[int]]:
     bad_irr = [False] * k     # locally irregular disqualified
     part = [-1] * m
 
-    local_edges = kind in (_LOCREG, _LOCIRR, _REG_OR_IRR, _MIXED)
+    wsr = f is Family.WEAKLY_SEMIREGULAR
+    semi = f is Family.SEMIREGULAR
+    reg = f is Family.REGULAR
+    locreg = f is Family.LOCALLY_REGULAR
+    locirr = f is Family.LOCALLY_IRREGULAR
+    # the two "first family or locally irregular" families: a part leaves
+    # the first family at its (first_cap + 1)-th distinct finished degree
+    first_cap = {Family.REGULAR_OR_LOCALLY_IRREGULAR: 1, Family.MIXED: 2}.get(f, 0)
+    local_edges = locreg or locirr or first_cap > 0
 
     def degree_cap_ok(p: int, d: int) -> bool:
         # a partial degree can only grow, so exceeding what the finished
@@ -127,11 +96,11 @@ def _search_exact(g: Graph, kind: str, k: int) -> Optional[list[int]]:
         dc = dcnt[p]
         if not dc:
             return True
-        if kind == _WSR:
+        if wsr:
             return len(dc) < 2 or d <= max(dc)
-        if kind == _SEMI:
+        if semi:
             return d <= min(dc) + 1
-        if kind == _REG:
+        if reg:
             return d <= next(iter(dc))
         return True
 
@@ -145,16 +114,13 @@ def _search_exact(g: Graph, kind: str, k: int) -> Optional[list[int]]:
             dc = dcnt[p]
             fresh = d not in dc
             if fresh:
-                if kind == _WSR and len(dc) >= 2:
+                if wsr and len(dc) >= 2:
                     return False
-                if kind == _SEMI and dc and (d > min(dc) + 1 or d < max(dc) - 1):
+                if semi and dc and (d > min(dc) + 1 or d < max(dc) - 1):
                     return False
-                if kind == _REG and dc:
+                if reg and dc:
                     return False
-                if kind == _REG_OR_IRR and dc and not bad_first[p]:
-                    bad_first[p] = True
-                    trail.append(("first", p))
-                if kind == _MIXED and len(dc) >= 2 and not bad_first[p]:
+                if first_cap and len(dc) >= first_cap and not bad_first[p]:
                     bad_first[p] = True
                     trail.append(("first", p))
             dc[d] = dc.get(d, 0) + 1
@@ -165,14 +131,14 @@ def _search_exact(g: Graph, kind: str, k: int) -> Optional[list[int]]:
                 if q == -1 or not fin[nbr]:
                     continue
                 same = deg[w][q] == deg[nbr][q]
-                if kind == _LOCREG and not same:
+                if locreg and not same:
                     return False
-                if kind == _LOCIRR and same:
+                if locirr and same:
                     return False
-                if kind in (_REG_OR_IRR, _MIXED) and same and not bad_irr[q]:
+                if first_cap and same and not bad_irr[q]:
                     bad_irr[q] = True
                     trail.append(("irr", q))
-        if kind in (_REG_OR_IRR, _MIXED):
+        if first_cap:
             for p in range(k):
                 if bad_first[p] and bad_irr[p]:
                     return False

@@ -19,7 +19,7 @@ import itertools
 from typing import Collection, Optional, Sequence
 
 from .families import EdgePartition
-from .graph import DegreeSet, Graph, RootedTree, bfs_root, classify, degree_set
+from .graph import DegreeSet, Graph, RootedTree, bfs_root, degree_set
 
 _FREE = -1
 
@@ -117,11 +117,7 @@ def _assign_exact(slots: int, forbidden: Sequence[Collection[int]], capacity: li
 
 
 def _require_rooted(t: Graph | RootedTree) -> RootedTree:
-    if isinstance(t, RootedTree):
-        return t
-    if not classify(t).is_tree:
-        raise ValueError("input must be a tree")
-    return bfs_root(t, 0)
+    return t if isinstance(t, RootedTree) else bfs_root(t, 0)
 
 
 def partition_two_forests(t: Graph | RootedTree, alpha: int, beta: int) -> Optional[EdgePartition]:
@@ -233,14 +229,10 @@ def wr2_tree(t: Graph) -> Optional[EdgePartition]:
     Trees with at most two distinct degrees are weakly semiregular as they
     stand; otherwise every candidate (alpha, beta) pair is tried in order.
     """
-    if not classify(t).is_tree:
-        raise ValueError("input must be a tree")
-    if t.m == 0:
-        return EdgePartition(2, ())
-    ds = degree_set(t)
-    if len(set(d for d in ds if d > 0)) <= 2:
-        return EdgePartition(2, (0,) * t.m)
     rt = bfs_root(t, 0)
+    ds = degree_set(t)
+    if len(ds) <= 2:
+        return EdgePartition(2, (0,) * t.m)
     delta = max(ds)
     for alpha, beta in candidate_pairs(ds, delta):
         result = partition_two_forests(rt, alpha, beta)
@@ -257,11 +249,9 @@ def wrc_tree(t: Graph, c: int) -> Optional[EdgePartition]:
     """
     if c < 1:
         raise ValueError("need c >= 1")
-    if not classify(t).is_tree:
-        raise ValueError("input must be a tree")
+    rt = bfs_root(t, 0)
     if t.m == 0:
         return EdgePartition(c, ())
-    rt = bfs_root(t, 0)
     delta = max(degree_set(t))
     for alphas in itertools.combinations_with_replacement(range(1, delta + 1), c):
         result = partition_forests(rt, alphas)

@@ -58,6 +58,29 @@ def random_deg4_graph(n: int, rng: random.Random) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
+def random_path_deg4_graph(n: int, rng: random.Random) -> Graph:
+    """Connected simple graph with max degree <= 4 in linear time: a random
+    Hamiltonian path plus up to 2n random chords between vertices of
+    degree < 4.  Long paths make deep augmenting searches."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = list(zip(order, order[1:]))
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    seen = {(min(u, v), max(u, v)) for u, v in edges}
+    for _ in range(2 * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        key = (min(u, v), max(u, v))
+        if u != v and deg[u] < 4 and deg[v] < 4 and key not in seen:
+            seen.add(key)
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph(n, tuple(edges))
+
+
 def make_degree_tree(max_hub_degree: int) -> Graph:
     """Caterpillar whose degree set is exactly {1, 2, ..., max_hub_degree}:
     a spine of hubs padded with leaves up to each target degree."""

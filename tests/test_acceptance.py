@@ -20,8 +20,7 @@ from semireg import (
     enumerate_trees,
     is_additive_coloring,
     log_tree_partition,
-    oracle_sr,
-    oracle_wr,
+    oracle_min_parts,
     part_subgraph,
     partition_from_labels,
     path,
@@ -61,7 +60,7 @@ def test_criterion_1_exhaustive_tree_agreement():
         for t in enumerate_trees(n):
             count += 1
             algorithmic = wr2_tree(t)
-            exhaustive = oracle_wr(t, budget)
+            exhaustive = oracle_min_parts(t, Family.WEAKLY_SEMIREGULAR, budget)
             if (algorithmic is None) != (exhaustive is None):
                 disagreements.append((n, t.edges))
             elif algorithmic is not None:
@@ -77,7 +76,8 @@ def test_criterion_2_tree_semiregular_number():
     for t in trees:
         delta = max(t.degrees())
         expected = (delta + 1) // 2
-        got = oracle_sr(t, OracleBudget(max_edges=10, max_parts=expected))
+        budget = OracleBudget(max_edges=10, max_parts=expected)
+        got = oracle_min_parts(t, Family.SEMIREGULAR, budget)
         assert got is not None and got[0] == expected, (
             f"criterion 2 FAIL: oracle gives {got} on {t.edges}, expected {expected}"
         )
@@ -205,8 +205,8 @@ def test_criterion_9_consistency_chain():
             continue
         delta = max(g.degrees())
         budget = OracleBudget(max_edges=10, max_parts=(delta + 2) // 2)
-        wr = oracle_wr(g, budget)
-        srn = oracle_sr(g, budget)
+        wr = oracle_min_parts(g, Family.WEAKLY_SEMIREGULAR, budget)
+        srn = oracle_min_parts(g, Family.SEMIREGULAR, budget)
         assert srn is not None, f"criterion 9 FAIL: no semiregular split within bound on {g.edges}"
         assert wr is not None and wr[0] <= srn[0] <= (delta + 2) // 2, (
             f"criterion 9 FAIL: chain broken on {g.edges}: wr={wr}, sr={srn}"

@@ -3,6 +3,8 @@ import os
 import pytest
 
 from semireg import (
+    Family,
+    Graph,
     complete,
     cycle,
     parse_graph,
@@ -11,6 +13,7 @@ from semireg import (
     star,
     path,
 )
+from semireg import cli
 from semireg.cli import run
 from helpers import make_degree_tree
 
@@ -93,6 +96,21 @@ def test_verify_rejects_bad_partition(tmp_path, capsys):
     pfile = tmp_path / "p.txt"
     pfile.write_text("2 3\n0 0\n1 0\n2 1\n")
     assert run(["verify", gfile, "--family", "regular", "--partition", str(pfile)]) == 1
+    # a header promising more lines than follow is malformed input, not "invalid"
+    pfile.write_text("1 2000000000000000000\n0 0\n")
+    assert run(["verify", gfile, "--family", "regular", "--partition", str(pfile)]) == 2
+
+
+def test_oracle_mixed_reports_and_verifies(tmp_path, capsys):
+    # degrees {1, 2, 3} with two adjacent degree-2 vertices: neither family
+    spider = Graph(6, ((0, 1), (1, 2), (2, 3), (0, 4), (0, 5)))
+    gfile = _write_graph(tmp_path, spider)
+    out_file = tmp_path / "parts.txt"
+    assert run(["oracle", gfile, "--family", "mixed", "--out", str(out_file)]) == 0
+    _, fields = _report(capsys)
+    assert fields["min-parts"] == "2"
+    assert fields["verified"] == "true"
+    assert run(["verify", gfile, "--family", "mixed", "--partition", str(out_file)]) == 0
 
 
 def test_oracle_budget_exit_code(tmp_path):
@@ -180,6 +198,17 @@ def test_malformed_graph_is_input_error(tmp_path):
 def test_non_tree_is_input_error(tmp_path):
     gfile = _write_graph(tmp_path, cycle(4))
     assert run(["decide", "wr2-tree", gfile]) == 2
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._METHODS, "sr-tree", (broken, Family.SEMIREGULAR))
+    gfile = _write_graph(tmp_path, star(5))
+    assert run(["decompose", gfile, "--method", "sr-tree"]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

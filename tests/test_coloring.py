@@ -24,6 +24,7 @@ from helpers import (
     is_proper_coloring,
     petersen,
     random_deg4_graph,
+    random_path_deg4_graph,
     random_simple_graph,
     random_tree,
 )
@@ -178,8 +179,10 @@ def test_wr2_deg4_examples():
 
 def test_wr2_deg4_random():
     rng = random.Random(107)
-    for _ in range(60):
-        g = random_deg4_graph(rng.randrange(2, 25), rng)
+    graphs = [random_deg4_graph(rng.randrange(2, 25), rng) for _ in range(60)]
+    # connected and path-like, so augmenting paths run thousands of arcs deep
+    graphs.append(random_path_deg4_graph(3000, rng))
+    for g in graphs:
         p = wr2_deg4(g)
         for i in range(2):
             degs = set(d for d in part_subgraph(g, p, i).degrees() if d)

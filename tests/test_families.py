@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semireg import (
     EdgePartition,
@@ -69,6 +70,11 @@ def test_is_family():
     k2 = path(2)
     assert is_family(k2, Family.REGULAR)
     assert not is_family(k2, Family.LOCALLY_IRREGULAR)
+    # mixed: weakly semiregular or locally irregular
+    assert is_family(mixed, Family.MIXED)
+    assert is_family(star(3), Family.MIXED)
+    spider = Graph(6, ((0, 1), (1, 2), (2, 3), (0, 4), (0, 5)))
+    assert not is_family(spider, Family.MIXED)
 
 
 def test_parallel_edges_count_twice():
@@ -109,6 +115,8 @@ def test_empty_parts_vacuously_pass():
     p = EdgePartition(4, (0, 0))
     assert verify_partition(g, p, Family.SEMIREGULAR)
     assert p.nonempty_parts() == 1
+    # the cost follows the edges, not the declared part count
+    assert verify_partition(g, EdgePartition(10**9, (0, 1)), Family.SEMIREGULAR)
 
 
 def test_semiregular_implies_weakly_semiregular():
@@ -150,3 +158,47 @@ def test_partition_text_roundtrip():
     assert "line 3" in str(err.value)
     with pytest.raises(ParseError):
         parse_partition("1 1\n0 4")
+    with pytest.raises(ParseError):
+        parse_partition("1 2000000000000000000\n0 0")
+
+
+def _reference_fits(sub: Graph, f: Family) -> bool:
+    """Family test written from full degree lists, independent of the
+    verifier's per-part counting."""
+    deg = sub.degrees()
+    ds = {d for d in deg if d}
+    wsr = len(ds) <= 2
+    regular = len(ds) <= 1
+    irregular = all(deg[u] != deg[v] for u, v in sub.edges)
+    return {
+        Family.WEAKLY_SEMIREGULAR: wsr,
+        Family.SEMIREGULAR: not ds or max(ds) - min(ds) <= 1,
+        Family.REGULAR: regular,
+        Family.LOCALLY_REGULAR: all(deg[u] == deg[v] for u, v in sub.edges),
+        Family.LOCALLY_IRREGULAR: irregular,
+        Family.REGULAR_OR_LOCALLY_IRREGULAR: regular or irregular,
+        Family.MIXED: wsr or irregular,
+    }[f]
+
+
+@st.composite
+def _partitioned_multigraphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    # few distinct pairs, so parallel edges are common
+    edges = draw(st.lists(pairs, max_size=12))
+    k = draw(st.integers(1, 4))
+    part = draw(st.lists(st.integers(0, k - 1), min_size=len(edges), max_size=len(edges)))
+    return Graph(n, tuple(edges)), EdgePartition(k, tuple(part))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partitioned_multigraphs(), st.sampled_from(list(Family)))
+def test_verify_partition_matches_reference(case, f):
+    g, p = case
+    expected = all(
+        _reference_fits(part_subgraph(g, p, i), f) for i in range(p.k)
+    )
+    assert verify_partition(g, p, f) == expected
+    if p.k == 1:
+        assert is_family(g, f) == expected

@@ -12,12 +12,8 @@ from semireg import (
     cycle,
     enumerate_trees,
     is_family,
-    oracle_irr,
     oracle_min_parts,
     oracle_mixed,
-    oracle_reg_irr,
-    oracle_sr,
-    oracle_wr,
     path,
     star,
     verify_partition,
@@ -67,8 +63,9 @@ def test_monotone_in_max_parts():
     rng = random.Random(227)
     for _ in range(30):
         g = random_simple_graph(rng.randrange(2, 7), rng.randrange(1, 8), rng)
-        small = oracle_wr(g, OracleBudget(max_edges=10, max_parts=2))
-        large = oracle_wr(g, OracleBudget(max_edges=10, max_parts=4))
+        wsr = Family.WEAKLY_SEMIREGULAR
+        small = oracle_min_parts(g, wsr, OracleBudget(max_edges=10, max_parts=2))
+        large = oracle_min_parts(g, wsr, OracleBudget(max_edges=10, max_parts=4))
         if small is not None:
             assert large is not None and large[0] == small[0]
         elif large is not None:
@@ -78,7 +75,7 @@ def test_monotone_in_max_parts():
 def test_budget_guards():
     big = complete(7)  # 21 edges
     with pytest.raises(BudgetError):
-        oracle_wr(big, OracleBudget(max_edges=16, max_parts=2))
+        oracle_min_parts(big, Family.WEAKLY_SEMIREGULAR, OracleBudget(max_edges=16, max_parts=2))
     with pytest.raises(ValueError):
         OracleBudget(max_edges=30)
     with pytest.raises(ValueError):
@@ -87,22 +84,23 @@ def test_budget_guards():
 
 def test_reports_above_max_parts():
     # a single edge has no locally irregular partition at all
-    assert oracle_irr(path(2), OracleBudget(max_edges=4, max_parts=3)) is None
+    budget = OracleBudget(max_edges=4, max_parts=3)
+    assert oracle_min_parts(path(2), Family.LOCALLY_IRREGULAR, budget) is None
 
 
 def test_locally_irregular_on_small_graphs():
-    got = oracle_irr(path(3))
+    got = oracle_min_parts(path(3), Family.LOCALLY_IRREGULAR)
     assert got is not None and got[0] == 1
-    got = oracle_irr(star(3))
+    got = oracle_min_parts(star(3), Family.LOCALLY_IRREGULAR)
     assert got is not None and got[0] == 1
 
 
 def test_reg_irr_and_mixed():
-    got = oracle_reg_irr(cycle(4))
+    got = oracle_min_parts(cycle(4), Family.REGULAR_OR_LOCALLY_IRREGULAR)
     assert got is not None and got[0] == 1
     got = oracle_mixed(star(6))
     assert got is not None and got[0] == 1  # a star is weakly semiregular
-    got = oracle_reg_irr(path(2))
+    got = oracle_min_parts(path(2), Family.REGULAR_OR_LOCALLY_IRREGULAR)
     assert got is not None and got[0] == 1  # a single edge is regular
 
 
@@ -112,7 +110,8 @@ def test_wr_oracle_respects_counting_bound():
         g = random_simple_graph(rng.randrange(2, 8), rng.randrange(1, 10), rng)
         if g.m == 0 or min(g.degrees()) == 0:
             continue
-        got = oracle_wr(g, OracleBudget(max_edges=10, max_parts=4))
+        budget = OracleBudget(max_edges=10, max_parts=4)
+        got = oracle_min_parts(g, Family.WEAKLY_SEMIREGULAR, budget)
         if got is not None:
             assert got[0] >= wr_lower_bound(g)
 
@@ -131,5 +130,5 @@ def test_enumerate_trees():
 
 
 def test_empty_graph_needs_no_parts():
-    got = oracle_wr(Graph(3, ()))
+    got = oracle_min_parts(Graph(3, ()), Family.WEAKLY_SEMIREGULAR)
     assert got is not None and got[0] == 0

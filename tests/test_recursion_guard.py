@@ -1,0 +1,78 @@
+"""The constructive algorithms at about 10^4 edges with almost no spare
+recursion depth: any recursion in proportion to n or m fails here."""
+
+import random
+import sys
+
+from semireg import (
+    Graph,
+    bipartite_color,
+    four_regularize,
+    log_tree_partition,
+    sr_general,
+    sr_tree,
+    two_factorize,
+    widen_degree_set,
+    wr2_deg4,
+    wr2_tree,
+)
+from helpers import random_path_deg4_graph
+
+
+def _caterpillar(spine: int, rng: random.Random) -> Graph:
+    """A path with a leaf on about half its inner vertices: degree set
+    {1, 2, 3}, so wr2_tree runs its pair search, at depth about n."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(1, spine - 1):
+        if rng.random() < 0.5:
+            edges.append((i, n))
+            n += 1
+    return Graph(n, tuple(edges))
+
+
+def _bipartite_double_cover(g: Graph) -> Graph:
+    return Graph(2 * g.n, tuple(
+        e for u, v in g.edges for e in ((u, g.n + v), (v, g.n + u))
+    ))
+
+
+def _prism(n: int) -> Graph:
+    """The 3-regular circular ladder on 2n vertices."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    return Graph(2 * n, tuple(edges))
+
+
+def _depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_constructions_do_not_recurse_with_input_size():
+    rng = random.Random(41)
+    tree = _caterpillar(5000, rng)
+    deg4 = random_path_deg4_graph(5000, rng)
+    host, _ = four_regularize(random_path_deg4_graph(1000, rng))
+    cover = _bipartite_double_cover(random_path_deg4_graph(2500, rng))
+    prism = _prism(3300)
+    calls = [
+        lambda: sr_tree(tree),
+        lambda: log_tree_partition(tree),
+        lambda: wr2_tree(tree),
+        lambda: sr_general(deg4),
+        lambda: bipartite_color(cover),
+        lambda: wr2_deg4(deg4),
+        lambda: two_factorize(host),
+        lambda: widen_degree_set(prism),
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 100)
+    try:
+        for call in calls:
+            call()
+    finally:
+        sys.setrecursionlimit(limit)

@@ -13,8 +13,7 @@ from semireg import (
     degree_set,
     enumerate_trees,
     log_tree_partition,
-    oracle_sr,
-    oracle_wr,
+    oracle_min_parts,
     partition_forests,
     partition_two_forests,
     part_subgraph,
@@ -145,7 +144,8 @@ def test_wr2_tree_spider():
     # three legs of length two: degree set {1, 2, 3}
     spider = Graph(7, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)))
     p = wr2_tree(spider)
-    oracle = oracle_wr(spider, OracleBudget(max_edges=6, max_parts=2))
+    budget = OracleBudget(max_edges=6, max_parts=2)
+    oracle = oracle_min_parts(spider, Family.WEAKLY_SEMIREGULAR, budget)
     assert p is not None and oracle is not None
     assert verify_partition(spider, p, Family.WEAKLY_SEMIREGULAR)
 
@@ -153,6 +153,28 @@ def test_wr2_tree_spider():
 def test_wr2_tree_rejects_non_tree():
     with pytest.raises(ValueError):
         wr2_tree(cycle(5))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(4, ((0, 1), (1, 2), (2, 0))),  # triangle plus an isolated vertex
+        Graph(3, ((0, 1), (0, 1))),  # doubled edge plus an isolated vertex
+    ],
+)
+def test_non_trees_with_tree_edge_count_are_rejected(g):
+    assert g.m == g.n - 1
+    calls = (
+        lambda: bfs_root(g, 0),
+        lambda: wr2_tree(g),
+        lambda: wrc_tree(g, 2),
+        lambda: sr_tree(g),
+        lambda: log_tree_partition(g),
+        lambda: partition_forests(g, (1, 2)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="input must be a tree"):
+            call()
 
 
 def test_wrc_tree_with_one_part():
@@ -265,5 +287,6 @@ def test_sr_tree_optimal_on_small_trees():
         t = random_tree(rng.randrange(2, 9), rng)
         delta = max(t.degrees())
         expected = (delta + 1) // 2
-        got = oracle_sr(t, OracleBudget(max_edges=8, max_parts=max(expected, 1)))
+        budget = OracleBudget(max_edges=8, max_parts=max(expected, 1))
+        got = oracle_min_parts(t, Family.SEMIREGULAR, budget)
         assert got is not None and got[0] == expected
