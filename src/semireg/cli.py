@@ -8,7 +8,9 @@ byte-identical output; wall-clock timing goes to stderr only.
 
 Exit codes: 0 success, 1 negative decision (NO / UNSAT / not found),
 2 input error, 3 budget error, 4 failed self-verification, 5 internal
-error (any other exception; the traceback goes to stderr).
+error (any other exception; the traceback goes to stderr).  An input
+whose sizes outgrow memory (a header naming 10^12 vertices, say) raises
+MemoryError, which is an input error: exit 2, no traceback.
 """
 
 from __future__ import annotations
@@ -353,6 +355,9 @@ def run(argv: list[str]) -> int:
         return EXIT_INPUT
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("input error: input too large for memory", file=sys.stderr)
         return EXIT_INPUT
     except Exception:
         import traceback  # imported here to keep it off every start-up

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
@@ -86,14 +87,12 @@ class RootedTree:
     order: tuple[int, ...]
 
     def child_edges(self) -> list[list[int]]:
-        """Per-vertex downward edge ids, ascending."""
+        """Per-vertex downward edge ids in ascending order, in O(n): one
+        walk over the edge ids appends each edge to its upper endpoint."""
+        depth = self.depth
         down: list[list[int]] = [[] for _ in range(self.graph.n)]
-        for v in range(self.graph.n):
-            e = self.parent_edge[v]
-            if e is not None:
-                down[self.parent[v]].append(e)
-        for lst in down:
-            lst.sort()
+        for e, (u, v) in enumerate(self.graph.edges):
+            down[u if depth[u] < depth[v] else v].append(e)
         return down
 
 
@@ -247,7 +246,10 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
                 queue.append(w)
     if -1 in depth:
         raise ValueError("input must be a tree")
-    order = tuple(sorted(range(g.n), key=lambda x: (depth[x], x)))
+    layers: list[list[int]] = [[] for _ in range(max(depth) + 1)]
+    for x in range(g.n):
+        layers[depth[x]].append(x)
+    order = tuple(chain.from_iterable(layers))
     return RootedTree(
         graph=g,
         root=v,

@@ -4,7 +4,9 @@ Three constructions on trees:
 
 * an exact decision procedure for splitting a tree into a (1,alpha)-forest
   and a (1,beta)-forest, with a restart-and-force search over BFS order;
-* its c-way generalization driven by per-edge forbidden-color sets;
+  its vertex step is closed form, O(deg v), so one pass is O(n);
+* its c-way generalization driven by per-edge forbidden-color sets, whose
+  vertex step (``vertex_feasible``) searches target vectors;
 * a binary-expansion labeling producing O(log max_degree) weakly
   semiregular forests, and the optimal semiregular decomposition into
   exactly ceil(max_degree / 2) parts.
@@ -64,6 +66,8 @@ def vertex_feasible(
     Enumerates the <= 3^c per-color target vectors and solves each exact
     assignment by augmenting paths, which replaces a general
     degree-constrained-subgraph routine for these single-vertex instances.
+    This is the vertex step of the c-way split ``partition_forests``; the
+    two-forest split, which has no forbidden sets, uses a closed form.
     """
     c = len(targets)
     if len(forced_counts) != c:
@@ -124,11 +128,16 @@ def partition_two_forests(t: Graph | RootedTree, alpha: int, beta: int) -> Optio
     """Split a tree into a (1,alpha)-forest (part 0) and a (1,beta)-forest
     (part 1), or return None if impossible.
 
-    Each pass labels downward edges vertex by vertex.  When a vertex
-    cannot be completed, the current label of its parent edge is provably
-    wrong, so the opposite label is recorded as forced and the pass
-    restarts; a forced edge failing again is final.  At most one edge is
-    forced per restart, so the number of passes is bounded by m+1.
+    Each pass labels downward edges vertex by vertex.  The vertex step is
+    closed form, O(deg v), so one pass is O(n): with the parent edge's
+    label and the forced downward edges counted, it takes the smallest
+    label-0 degree in {0, 1, alpha} whose complement lies in {0, 1, beta},
+    and gives the first free edges label 0 and the rest label 1 (the
+    choice ``vertex_feasible`` makes with no forbidden sets).  When a
+    vertex cannot be completed, the current label of its parent edge is
+    provably wrong, so the opposite label is recorded as forced and the
+    pass restarts; a forced edge failing again is final.  At most one edge
+    is forced per restart, so the number of passes is bounded by m+1.
     """
     if not (1 <= alpha <= beta):
         raise ValueError("need 1 <= alpha <= beta")
@@ -137,7 +146,8 @@ def partition_two_forests(t: Graph | RootedTree, alpha: int, beta: int) -> Optio
     if g.m == 0:
         return EdgePartition(2, ())
     down = rt.child_edges()
-    targets = ({0, 1, alpha}, {0, 1, beta})
+    zero_targets = sorted({0, 1, alpha})
+    one_targets = {0, 1, beta}
 
     forced = [_FREE] * g.m
     restarts = 0
@@ -146,19 +156,22 @@ def partition_two_forests(t: Graph | RootedTree, alpha: int, beta: int) -> Optio
         broke = False
         for v in rt.order:
             pe = rt.parent_edge[v]
-            parent_color = labels[pe] if pe is not None else None
-            forced_counts = [0, 0]
-            free_edges = []
+            base = [0, 0]
+            if pe is not None:
+                base[labels[pe]] += 1
+            free = 0
             for e in down[v]:
-                if forced[e] != _FREE:
-                    forced_counts[forced[e]] += 1
+                if forced[e] == _FREE:
+                    free += 1
                 else:
-                    free_edges.append(e)
-            colors = vertex_feasible(
-                len(free_edges), forced_counts, parent_color,
-                [frozenset()] * len(free_edges), targets,
-            )
-            if colors is None:
+                    base[forced[e]] += 1
+            total = free + base[0] + base[1]
+            zeros = -1
+            for t0 in zero_targets:
+                if 0 <= t0 - base[0] <= free and total - t0 in one_targets:
+                    zeros = t0 - base[0]
+                    break
+            if zeros < 0:
                 if pe is None or forced[pe] != _FREE:
                     return None
                 forced[pe] = 1 - labels[pe]
@@ -166,9 +179,14 @@ def partition_two_forests(t: Graph | RootedTree, alpha: int, beta: int) -> Optio
                 assert restarts <= g.m, "restart bound exceeded"
                 broke = True
                 break
-            it = iter(colors)
             for e in down[v]:
-                labels[e] = forced[e] if forced[e] != _FREE else next(it)
+                if forced[e] != _FREE:
+                    labels[e] = forced[e]
+                elif zeros:
+                    labels[e] = 0
+                    zeros -= 1
+                else:
+                    labels[e] = 1
         if not broke:
             return EdgePartition(2, tuple(labels))
 

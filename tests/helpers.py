@@ -25,6 +25,17 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return decode_tree(n, seq)
 
 
+def random_hub_tree(n: int, hubs: int, rng: random.Random) -> Graph:
+    """Random labeled tree on n >= 3 vertices whose Pruefer sequence mostly
+    names a few hubs, so a handful of vertices get large degrees."""
+    centers = rng.sample(range(n), hubs)
+    seq = tuple(
+        rng.choice(centers) if rng.random() < 0.75 else rng.randrange(n)
+        for _ in range(n - 2)
+    )
+    return decode_tree(n, seq)
+
+
 def random_simple_graph(n: int, m: int, rng: random.Random) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)

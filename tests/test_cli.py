@@ -200,6 +200,15 @@ def test_non_tree_is_input_error(tmp_path):
     assert run(["decide", "wr2-tree", gfile]) == 2
 
 
+def test_input_too_large_for_memory_is_input_error(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000000 1\n0 1\n")
+    assert run(["decompose", str(huge), "--method", "sr-general"]) == 2
+    err = capsys.readouterr().err
+    assert "input error: input too large for memory" in err
+    assert "Traceback" not in err
+
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     def broken(g):
         raise RuntimeError("boom")

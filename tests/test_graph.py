@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semireg import (
     Graph,
@@ -12,6 +13,7 @@ from semireg import (
     complete,
     complete_bipartite,
     cycle,
+    decode_tree,
     degree_set,
     disjoint_union,
     parse_graph,
@@ -120,6 +122,30 @@ def test_bfs_order_is_layered_and_sorted():
     g = Graph(7, ((3, 1), (3, 5), (1, 0), (1, 6), (5, 2), (5, 4)))
     rt = bfs_root(g, 3)
     assert rt.order == (3, 1, 5, 0, 2, 4, 6)
+
+
+@st.composite
+def _rooted_trees(draw):
+    n = draw(st.integers(1, 60))
+    if n == 1:
+        return Graph(1, ()), 0
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return decode_tree(n, tuple(seq)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rooted_trees())
+def test_bfs_root_order_and_child_edges(tree_and_root):
+    t, root = tree_and_root
+    rt = bfs_root(t, root)
+    assert rt.order == tuple(sorted(range(t.n), key=lambda x: (rt.depth[x], x)))
+    position = {v: i for i, v in enumerate(rt.order)}
+    assert all(position[rt.parent[v]] < position[v] for v in range(t.n) if v != root)
+    down = rt.child_edges()
+    assert all(a < b for lst in down for a, b in zip(lst, lst[1:]))
+    assert sorted(e for lst in down for e in lst) == sorted(
+        rt.parent_edge[v] for v in range(t.n) if v != root
+    )
 
 
 def test_parse_serialize_roundtrip():

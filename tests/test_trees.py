@@ -26,7 +26,7 @@ from semireg import (
     wrc_tree,
 )
 from semireg.oracles import OracleBudget
-from helpers import make_degree_tree, random_tree
+from helpers import make_degree_tree, random_hub_tree, random_tree
 
 
 def test_candidate_pairs():
@@ -102,6 +102,61 @@ def test_forest_split_parts_hit_their_degree_targets():
         for i, bound in ((0, alpha), (1, beta)):
             degs = set(d for d in part_subgraph(t, p, i).degrees() if d)
             assert degs <= {1, bound}
+
+
+def _reference_two_forests(rt, alpha, beta):
+    """The two-forest split with the general vertex step: one
+    ``vertex_feasible`` call per vertex, forced edges counted apart."""
+    m = rt.graph.m
+    down = rt.child_edges()
+    targets = ({0, 1, alpha}, {0, 1, beta})
+    forced = [-1] * m
+    while True:
+        labels = [-1] * m
+        for v in rt.order:
+            pe = rt.parent_edge[v]
+            parent_color = labels[pe] if pe is not None else None
+            forced_counts = [0, 0]
+            free = []
+            for e in down[v]:
+                if forced[e] != -1:
+                    forced_counts[forced[e]] += 1
+                else:
+                    free.append(e)
+            colors = vertex_feasible(
+                len(free), forced_counts, parent_color, [frozenset()] * len(free), targets
+            )
+            if colors is None:
+                if pe is None or forced[pe] != -1:
+                    return None
+                forced[pe] = 1 - labels[pe]
+                break
+            it = iter(colors)
+            for e in down[v]:
+                labels[e] = forced[e] if forced[e] != -1 else next(it)
+        else:
+            return tuple(labels)
+
+
+def _witness_pinning_trees():
+    for n in range(2, 7):
+        yield from enumerate_trees(n)
+    rng = random.Random(53)
+    for _ in range(200):
+        yield random_tree(rng.randrange(2, 41), rng)
+    for k in range(3, 9):
+        yield make_degree_tree(k)
+    for _ in range(14):
+        yield random_hub_tree(rng.randrange(12, 41), rng.randrange(1, 4), rng)
+
+
+def test_two_forest_witnesses_match_general_vertex_step():
+    for t in _witness_pinning_trees():
+        rt = bfs_root(t, 0)
+        ds = degree_set(t)
+        for alpha, beta in candidate_pairs(ds, max(ds)):
+            got = partition_two_forests(rt, alpha, beta)
+            assert (None if got is None else got.part) == _reference_two_forests(rt, alpha, beta)
 
 
 def test_partition_forests_examples():
