@@ -79,19 +79,26 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _partition_summary(report: RunReport, g: Graph, p: EdgePartition, fam: Family) -> bool:
+def _partition_summary(report: RunReport, g: Graph, p: EdgePartition, fam: Family) -> tuple[bool, int]:
+    """Adds the partition lines to the report; returns whether the partition
+    verified and its nonempty part count, both from one count of part sizes."""
     verified = families.verify_partition(g, p, fam)
+    sizes = p.part_sizes()
+    nonempty = len(sizes) - sizes.count(0)
     report.add("parts", p.k)
-    report.add("nonempty-parts", p.nonempty_parts())
-    report.add("part-sizes", " ".join(str(s) for s in p.part_sizes()))
+    report.add("nonempty-parts", nonempty)
+    report.add("part-sizes", " ".join(map(str, sizes)))
     report.add("verified", "true" if verified else "false")
-    return verified
+    return verified, nonempty
 
 
 def _finish_partition(
-    args, report: RunReport, g: Graph, p: EdgePartition, fam: Family
+    args, report: RunReport, g: Graph, p: EdgePartition, fam: Family, headline: str
 ) -> int:
-    verified = _partition_summary(report, g, p, fam)
+    """Prints ``headline``, formatted with the nonempty part count, then
+    writes the partition to ``--out`` and emits the report."""
+    verified, nonempty = _partition_summary(report, g, p, fam)
+    print(headline.format(nonempty))
     _write_out(getattr(args, "out", None), families.serialize_partition(p))
     report.emit()
     if not verified:
@@ -118,8 +125,7 @@ def _cmd_decide(args) -> int:
         report.emit()
         return EXIT_NO
     report.add("decision", "YES")
-    print("YES")
-    return _finish_partition(args, report, g, witness, Family.WEAKLY_SEMIREGULAR)
+    return _finish_partition(args, report, g, witness, Family.WEAKLY_SEMIREGULAR, "YES")
 
 
 _METHODS = {
@@ -136,8 +142,7 @@ def _cmd_decompose(args) -> int:
     p = fn(g)
     report = RunReport(f"decompose {args.method}", digest)
     report.add("family", fam.value)
-    print(f"decomposed into {p.nonempty_parts()} nonempty part(s)")
-    return _finish_partition(args, report, g, p, fam)
+    return _finish_partition(args, report, g, p, fam, "decomposed into {} nonempty part(s)")
 
 
 def _cmd_oracle(args) -> int:
@@ -153,7 +158,7 @@ def _cmd_oracle(args) -> int:
     k, witness = result
     report.add("min-parts", k)
     if k > 0:
-        verified = _partition_summary(report, g, witness, fam)
+        verified, _ = _partition_summary(report, g, witness, fam)
     else:
         verified = True
         report.add("parts", k)

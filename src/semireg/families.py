@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import ParseError
-from .graph import Graph
+from .graph import Graph, parse_header
 
 
 class Family(enum.Enum):
@@ -128,17 +128,7 @@ def wr_lower_bound(g: Graph, coarse: bool = False) -> int:
 def parse_partition(text: str) -> EdgePartition:
     """Parse the partition format: header "k m", then m lines "edge_id part_id"."""
     lines = text.splitlines()
-    if not lines:
-        raise ParseError("line 1: missing header")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("line 1: header must be 'k m'")
-    try:
-        k, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError("line 1: header must be two integers") from None
-    if k < 0 or m < 0:
-        raise ParseError("line 1: negative counts in header")
+    k, m = parse_header(lines, "k m")
     if m > len(lines) - 1:
         raise ParseError(f"line {len(lines) + 1}: expected {m} assignments, input ended early")
     part: list[int | None] = [None] * m

@@ -9,7 +9,7 @@ are not.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -24,14 +24,25 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # One pass checks each edge once; the converting scan below runs only
+        # for input that is not a tuple of int pairs or to name a bad edge.
+        n = self.n
+        if type(self.edges) is tuple and n >= 0:
+            for e in self.edges:
+                u, v = e
+                if (type(e) is not tuple or type(u) is not int or type(v) is not int
+                        or u == v or not (0 <= u < n and 0 <= v < n)):
+                    break
+            else:
+                return
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if self.n < 0:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
 
     @property
     def m(self) -> int:
@@ -73,7 +84,8 @@ class Classification:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """BFS view of a tree: parent pointers, depth layers, and a scan order.
+    """BFS view of a tree: parent pointers, depth layers, a scan order and
+    the downward edges of every vertex.
 
     ``order`` lists the vertices by nondecreasing depth, ties broken by
     ascending vertex id, so parents always precede children.
@@ -85,15 +97,12 @@ class RootedTree:
     parent_edge: tuple[Optional[int], ...]
     depth: tuple[int, ...]
     order: tuple[int, ...]
+    down: list[list[int]] = field(repr=False, compare=False)
 
     def child_edges(self) -> list[list[int]]:
-        """Per-vertex downward edge ids in ascending order, in O(n): one
-        walk over the edge ids appends each edge to its upper endpoint."""
-        depth = self.depth
-        down: list[list[int]] = [[] for _ in range(self.graph.n)]
-        for e, (u, v) in enumerate(self.graph.edges):
-            down[u if depth[u] < depth[v] else v].append(e)
-        return down
+        """Per-vertex downward edge ids in ascending order: the lists the
+        BFS kept, shared with every caller, so do not modify them."""
+        return self.down
 
 
 # ---------------------------------------------------------------------------
@@ -225,38 +234,52 @@ def complement(g: Graph) -> Graph:
 
 def bfs_root(g: Graph, v: int) -> RootedTree:
     """Root a tree at ``v``.  This is the tree test: a graph is a tree iff
-    it has n - 1 edges and the BFS from ``v`` reaches every vertex."""
-    if g.m != g.n - 1:
+    it has n - 1 edges and the BFS from ``v`` reaches every vertex.
+
+    Runs in O(n) without sorting.  Each vertex's incident edge ids are
+    listed in id order; dropping its parent edge when the BFS reaches it
+    leaves its downward edges in ascending order, which ``child_edges``
+    returns.  In a tree the parents and depths do not depend on the visiting
+    order, and ``order`` is bucketed per depth in id order.
+    """
+    n, edges = g.n, g.edges
+    if len(edges) != n - 1:
         raise ValueError("input must be a tree")
-    if not 0 <= v < g.n:
+    if not 0 <= v < n:
         raise ValueError(f"root {v} out of range")
-    adj = g.adjacency()
-    parent: list[Optional[int]] = [None] * g.n
-    parent_edge: list[Optional[int]] = [None] * g.n
-    depth = [-1] * g.n
+    down: list[list[int]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(edges):
+        down[a].append(e)
+        down[b].append(e)
+    parent: list[Optional[int]] = [None] * n
+    parent_edge: list[Optional[int]] = [None] * n
+    depth = [-1] * n
     depth[v] = 0
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        for w, e in adj[x]:
+    queue = [v]
+    for x in queue:
+        d = depth[x] + 1
+        for e in down[x]:
+            a, b = edges[e]
+            w = b if a == x else a
             if depth[w] == -1:
-                depth[w] = depth[x] + 1
+                depth[w] = d
                 parent[w] = x
                 parent_edge[w] = e
+                down[w].remove(e)
                 queue.append(w)
     if -1 in depth:
         raise ValueError("input must be a tree")
     layers: list[list[int]] = [[] for _ in range(max(depth) + 1)]
-    for x in range(g.n):
+    for x in range(n):
         layers[depth[x]].append(x)
-    order = tuple(chain.from_iterable(layers))
     return RootedTree(
         graph=g,
         root=v,
         parent=tuple(parent),
         parent_edge=tuple(parent_edge),
         depth=tuple(depth),
-        order=order,
+        order=tuple(chain.from_iterable(layers)),
+        down=down,
     )
 
 
@@ -264,41 +287,59 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
 # text formats
 # ---------------------------------------------------------------------------
 
-def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format: a header line "n m", then m lines "u v"."""
-    lines = text.splitlines()
+def parse_header(lines: list[str], shape: str) -> tuple[int, int]:
+    """The two nonnegative counts on line 1 of a text format whose header
+    is ``shape``, such as "n m"."""
     if not lines:
         raise ParseError("line 1: missing header")
     head = lines[0].split()
     if len(head) != 2:
-        raise ParseError("line 1: header must be 'n m'")
+        raise ParseError(f"line 1: header must be '{shape}'")
     try:
-        n, m = int(head[0]), int(head[1])
+        a, b = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError("line 1: header must be two integers") from None
-    if n < 0 or m < 0:
+    if a < 0 or b < 0:
         raise ParseError("line 1: negative counts in header")
-    edges = []
-    for i in range(m):
-        lineno = i + 2
-        if lineno - 1 >= len(lines):
-            raise ParseError(f"line {lineno}: expected {m} edges, input ended early")
-        parts = lines[lineno - 1].split()
+    return a, b
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the edge-list format: a header line "n m", then m lines "u v".
+
+    One loop reads the edge lines and ``Graph`` checks the endpoints; when
+    either fails, ``_edge_line_error`` names the first bad line.
+    """
+    lines = text.splitlines()
+    n, m = parse_header(lines, "n m")
+    if len(lines) <= m:
+        raise _edge_line_error(lines, n, m)
+    try:
+        g = Graph(n, tuple([(int(u), int(v)) for u, v in map(str.split, lines[1:m + 1])]))
+    except ValueError:
+        raise _edge_line_error(lines, n, m) from None
+    if any(map(str.strip, lines[m + 1:])):
+        raise ParseError(f"line {m + 2}: trailing content after {m} edges")
+    return g
+
+
+def _edge_line_error(lines: list[str], n: int, m: int) -> ParseError:
+    """The error for the first of the m edge lines that is malformed, names
+    an endpoint outside 0..n-1 or a self-loop; if none is, the input ended
+    before line m + 1."""
+    for lineno, line in enumerate(lines[1:m + 1], 2):
+        parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"line {lineno}: edge line must be 'u v'")
+            return ParseError(f"line {lineno}: edge line must be 'u v'")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"line {lineno}: edge endpoints must be integers") from None
+            return ParseError(f"line {lineno}: edge endpoints must be integers")
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"line {lineno}: vertex out of range")
+            return ParseError(f"line {lineno}: vertex out of range")
         if u == v:
-            raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v))
-    for extra in lines[m + 1:]:
-        if extra.strip():
-            raise ParseError(f"line {m + 2}: trailing content after {m} edges")
-    return Graph(n, tuple(edges))
+            return ParseError(f"line {lineno}: self-loop at vertex {u}")
+    return ParseError(f"line {len(lines) + 1}: expected {m} edges, input ended early")
 
 
 def serialize_graph(g: Graph) -> str:

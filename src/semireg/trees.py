@@ -319,19 +319,18 @@ def log_tree_partition(t: Graph) -> EdgePartition:
 
 
 def _greedy_tree_coloring(rt: RootedTree) -> list[int]:
-    """Proper edge coloring of a tree with exactly max-degree colors."""
-    g = rt.graph
+    """Proper edge coloring of a tree with exactly max-degree colors: child
+    edge i of a vertex gets color i, or i + 1 once i reaches the color of
+    the vertex's parent edge."""
     down = rt.child_edges()
-    color = [-1] * g.m
+    color = [-1] * rt.graph.m
     for v in rt.order:
-        pe = rt.parent_edge[v]
-        taken = color[pe] if pe is not None else -1
-        nxt = 0
-        for e in down[v]:
-            if nxt == taken:
-                nxt += 1
-            color[e] = nxt
-            nxt += 1
+        kids = down[v]
+        if kids:
+            pe = rt.parent_edge[v]
+            taken = len(kids) if pe is None else color[pe]
+            for i, e in enumerate(kids):
+                color[e] = i if i < taken else i + 1
     return color
 
 
@@ -345,8 +344,6 @@ def sr_tree(t: Graph) -> EdgePartition:
     """
     if t.m == 0:
         raise ValueError("tree has no edges")
-    rt = bfs_root(t, 0)
-    color = _greedy_tree_coloring(rt)
-    delta = max(t.degrees())
-    half = (delta + 1) // 2
+    color = _greedy_tree_coloring(bfs_root(t, 0))
+    half = (max(color) + 2) // 2  # the coloring uses exactly max_degree colors
     return EdgePartition(half, tuple(c if c < half else c - half for c in color))

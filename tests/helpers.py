@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from semireg import Graph, decode_tree
 
@@ -25,6 +26,13 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return decode_tree(n, seq)
 
 
+def random_bounded_tree(n: int, max_degree: int, rng: random.Random) -> Graph:
+    """Random labeled tree on n >= 3 vertices with degrees <= max_degree:
+    its Pruefer sequence is a random draw in which every vertex appears at
+    most max_degree - 1 times."""
+    return decode_tree(n, tuple(rng.sample(range(n), n - 2, counts=[max_degree - 1] * n)))
+
+
 def random_hub_tree(n: int, hubs: int, rng: random.Random) -> Graph:
     """Random labeled tree on n >= 3 vertices whose Pruefer sequence mostly
     names a few hubs, so a handful of vertices get large degrees."""
@@ -34,6 +42,60 @@ def random_hub_tree(n: int, hubs: int, rng: random.Random) -> Graph:
         for _ in range(n - 2)
     )
     return decode_tree(n, seq)
+
+
+def planted_tree(n: int, alpha: int, beta: int, rng: random.Random) -> Graph:
+    """Tree on n >= 2 vertices built around a hidden split into a
+    (1, alpha)-forest and a (1, beta)-forest, so ``wr2_tree`` says YES.
+
+    Vertices are grown breadth first; each draws how many child edges of
+    either label it gets, so that its degree in each label lies in
+    {0, 1, alpha} or {0, 1, beta}.  Vertex ids and edge order are shuffled.
+    """
+    targets = ((0, 1, alpha), (0, 1, beta))
+    while True:
+        edges: list[tuple[int, int]] = []
+        queue = [(0, -1)]  # (vertex, label of its parent edge)
+        for v, up in queue:
+            for lab in (0, 1):
+                have = 1 if up == lab else 0
+                room = n - 1 - len(edges)
+                counts = [t - have for t in targets[lab] if 0 <= t - have <= room]
+                for _ in range(rng.choice(counts)):
+                    edges.append((v, len(edges) + 1))
+                    queue.append((len(edges), lab))
+        if len(edges) == n - 1:
+            break  # otherwise the tree died out early: grow it again
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rng.shuffle(edges)
+    return Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
+
+
+def reference_bfs_root(g: Graph, v: int):
+    """Rooting by BFS over the sorted ``Graph.adjacency`` lists, followed by
+    a sort of all vertices by (depth, id) and a walk over the edges for the
+    child lists.  Returns (parent, parent_edge, depth, order, child_edges);
+    assumes ``g`` is a tree."""
+    adj = g.adjacency()
+    parent = [None] * g.n
+    parent_edge = [None] * g.n
+    depth = [-1] * g.n
+    depth[v] = 0
+    queue = deque([v])
+    while queue:
+        x = queue.popleft()
+        for w, e in adj[x]:
+            if depth[w] == -1:
+                depth[w] = depth[x] + 1
+                parent[w] = x
+                parent_edge[w] = e
+                queue.append(w)
+    order = tuple(sorted(range(g.n), key=lambda x: (depth[x], x)))
+    down = [[] for _ in range(g.n)]
+    for e, (a, b) in enumerate(g.edges):
+        down[a if depth[a] < depth[b] else b].append(e)
+    return tuple(parent), tuple(parent_edge), tuple(depth), order, down
 
 
 def random_simple_graph(n: int, m: int, rng: random.Random) -> Graph:

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 
 import pytest
 
@@ -15,7 +17,13 @@ from semireg import (
 )
 from semireg import cli
 from semireg.cli import run
-from helpers import make_degree_tree
+from helpers import (
+    make_degree_tree,
+    planted_tree,
+    random_bounded_tree,
+    random_hub_tree,
+    random_tree,
+)
 
 GADGETS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "gadgets")
 
@@ -228,3 +236,67 @@ def test_reports_are_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "== report ==" in first and "== end ==" in first
+
+
+# SHA-256 of stdout and of the --out file (None: no file written), recorded
+# from the reports before tree rooting stopped sorting adjacency lists; any
+# later change to these commands must keep them byte-identical.
+_GOLDEN_TREE_RUNS = [
+    pytest.param(
+        ["decompose", "--method", "sr-tree"], lambda: random_tree(3000, random.Random(11)), 0,
+        "19ba74a87e161fd008c209b28ef3274f1db0c9e9005256a6cbf7569c774490a0",
+        "c28c7edef6221ff9c88cbab104b9bf13dc1c0c7c1caba04c61bc3c5d47e7ec19",
+        id="sr-tree-random",
+    ),
+    pytest.param(
+        ["decompose", "--method", "sr-tree"], lambda: random_hub_tree(3000, 4, random.Random(12)), 0,
+        "bf709bba2e30990ca72213915054195bc294c67b0ee022f137a45963aed31781",
+        "102d1566a7a996f130e62e281501e3aa5485948eab799b0045315ecc0ac255e4",
+        id="sr-tree-hubs",
+    ),
+    pytest.param(
+        ["decompose", "--method", "alg3"], lambda: random_tree(3000, random.Random(13)), 0,
+        "2ca3a025797717f27981df08eef2446fce39ce33e89b50c348d9ca47bf21f0ce",
+        "174f30b30765155b5be4f07754887cac7aab394a69db425de8e4a50b04c381ae",
+        id="alg3-random",
+    ),
+    pytest.param(
+        ["decompose", "--method", "alg3"], lambda: random_hub_tree(3000, 4, random.Random(14)), 0,
+        "7640e3ec7af3fe46683930459a3dc7d1739866a3b9a811b0837677b554c744da",
+        "68a3a31fec5fd98110bba2de86e1edb7f73204264c5d582366cc6f915eff7b37",
+        id="alg3-hubs",
+    ),
+    pytest.param(  # YES after the search has restarted 27 times
+        ["decide", "wr2-tree"], lambda: planted_tree(2000, 1, 3, random.Random(0)), 0,
+        "1523476fa2ba5a2a45104f437afc4c8077c34dbecdd5a13e23de4fea2e16ebe6",
+        "16b9df90962fa89ad74c416371bc90002ac0da66d6b09a762604d343cd2edacb",
+        id="wr2-yes-restarts",
+    ),
+    pytest.param(
+        ["decide", "wr2-tree"], lambda: planted_tree(3000, 1, 2, random.Random(1)), 0,
+        "03ff373990b48e33ba249929c21e61f7016399364193399c41205634ded831da",
+        "bf90399e5f502ee314b5be9a6b205ae8f571e509d627255baeb77652ef82e8ad",
+        id="wr2-yes",
+    ),
+    pytest.param(  # a path: one part holds every edge, the other is empty
+        ["decide", "wr2-tree"], lambda: random_bounded_tree(3000, 2, random.Random(16)), 0,
+        "1024c70cdc68d6bf57d6f76896e51590c19066316e8168f12709dd7e37cf87db",
+        "a7a982fa56ad2bfb20ad1ea2b6a0135c24bd21cacd67f71b9a00bce5e2caf793",
+        id="wr2-yes-empty-part",
+    ),
+    pytest.param(  # degree set {1..6}: two candidate pairs are searched
+        ["decide", "wr2-tree"], lambda: random_bounded_tree(3000, 6, random.Random(15)), 1,
+        "8b08a88e3b2dec572d988675dc2e3e2d93aa25f491ea4d633da5e01913db4dee", None,
+        id="wr2-no",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,tree,code,stdout_sha,out_sha", _GOLDEN_TREE_RUNS)
+def test_tree_reports_match_recorded_digests(tmp_path, capsys, argv, tree, code, stdout_sha, out_sha):
+    gfile = _write_graph(tmp_path, tree())
+    out_file = tmp_path / "out.txt"
+    assert run([*argv, gfile, "--out", str(out_file)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    written = out_file.read_bytes() if out_file.exists() else None
+    assert (written and hashlib.sha256(written).hexdigest()) == out_sha

@@ -162,6 +162,22 @@ def test_partition_text_roundtrip():
         parse_partition("1 2000000000000000000\n0 0")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "line 1: missing header"),
+        ("2\n", "line 1: header must be 'k m'"),
+        ("2 x\n", "line 1: header must be two integers"),
+        ("2 -1\n", "line 1: negative counts in header"),
+        ("2 2\n0 0", "line 3: expected 2 assignments, input ended early"),
+    ],
+)
+def test_partition_header_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_partition(text)
+    assert str(err.value) == message
+
+
 def _reference_fits(sub: Graph, f: Family) -> bool:
     """Family test written from full degree lists, independent of the
     verifier's per-part counting."""

@@ -22,7 +22,7 @@ from semireg import (
     star,
     to_dot,
 )
-from helpers import brute_isomorphic, random_simple_graph
+from helpers import brute_isomorphic, random_simple_graph, reference_bfs_root
 
 
 def test_named_constructions():
@@ -138,6 +138,7 @@ def _rooted_trees(draw):
 def test_bfs_root_order_and_child_edges(tree_and_root):
     t, root = tree_and_root
     rt = bfs_root(t, root)
+    assert (rt.parent, rt.parent_edge, rt.depth, rt.order, rt.child_edges()) == reference_bfs_root(t, root)
     assert rt.order == tuple(sorted(range(t.n), key=lambda x: (rt.depth[x], x)))
     position = {v: i for i, v in enumerate(rt.order)}
     assert all(position[rt.parent[v]] < position[v] for v in range(t.n) if v != root)
@@ -177,6 +178,82 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
     assert f"line {lineno}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "line 1: missing header"),
+        ("3", "line 1: header must be 'n m'"),
+        ("3 1 2\n0 1", "line 1: header must be 'n m'"),
+        ("3 x\n", "line 1: header must be two integers"),
+        ("-1 0", "line 1: negative counts in header"),
+        ("3 -1", "line 1: negative counts in header"),
+        ("3 2\n0 1\n1", "line 3: edge line must be 'u v'"),
+        ("3 2\n0 1\n1 2 0", "line 3: edge line must be 'u v'"),
+        ("3 1\n0 x", "line 2: edge endpoints must be integers"),
+        ("3 1\n0.0 1", "line 2: edge endpoints must be integers"),
+        ("3 2\n0 1\n1 3", "line 3: vertex out of range"),
+        ("3 1\n-1 2", "line 2: vertex out of range"),
+        ("3 2\n0 1\n2 2", "line 3: self-loop at vertex 2"),
+        ("3 2\n0 1", "line 3: expected 2 edges, input ended early"),
+        ("3 3\n0 1\n1 2", "line 4: expected 3 edges, input ended early"),
+        ("3 3\n0 1\nx y", "line 3: edge endpoints must be integers"),
+        ("3 3\n0 1\n0 7", "line 3: vertex out of range"),
+        ("3 1\n0 1\n\n1 2", "line 3: trailing content after 1 edges"),
+        # the first bad line decides, whichever check it fails
+        ("3 2\n0 5\nx y", "line 2: vertex out of range"),
+        ("3 2\n1 1\n0 9", "line 2: self-loop at vertex 1"),
+        ("3 2\n0 9\n1 1", "line 2: vertex out of range"),
+        ("3 1\n5 5", "line 2: vertex out of range"),
+        ("3 3\n0 1\n1\n1 2", "line 3: edge line must be 'u v'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+def test_parse_accepts_blank_trailing_lines():
+    g = parse_graph("3 2\n0 1\n 1  2 \n\n   \n")
+    assert g.n == 3 and g.edges == ((0, 1), (1, 2))
+    assert type(g.edges[0][0]) is int
+
+
+@pytest.mark.parametrize(
+    "n,edges,message",
+    [
+        (-1, (), "vertex count must be nonnegative"),
+        (2, ((0, 0),), "self-loop at vertex 0"),
+        (2, ((0, 2),), "edge (0,2) out of range for n=2"),
+        (2, ((-1, 1),), "edge (-1,1) out of range for n=2"),
+        (3, ((0, 1), (1, 1), (0, 5)), "self-loop at vertex 1"),
+        (3, ((0, 1), (0, 5), (1, 1)), "edge (0,5) out of range for n=3"),
+        (3, ((5, 5),), "self-loop at vertex 5"),
+        (3, [[0, 1], [2, 2]], "self-loop at vertex 2"),
+        (3, ((0, 1), ("2", "7")), "edge (2,7) out of range for n=3"),
+    ],
+)
+def test_graph_constructor_errors(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges)
+    assert str(err.value) == message
+
+
+def test_graph_constructor_normalizes_edges():
+    for edges in (
+        [[0, 1], [1, 2]],
+        ([0, 1], [1, 2]),
+        ((0, 1), (True, 2)),
+        ((0, 1), (1, 2.0)),
+        (e for e in ((0, 1), (1, 2))),
+    ):
+        g = Graph(3, edges)
+        assert g.edges == ((0, 1), (1, 2))
+        assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in g.edges)
+    with pytest.raises(ValueError):
+        Graph(3, ((0, 1, 2),))
 
 
 def test_dot_export():

@@ -220,7 +220,8 @@ def test_wr2_tree_rejects_non_tree():
 def test_non_trees_with_tree_edge_count_are_rejected(g):
     assert g.m == g.n - 1
     calls = (
-        lambda: bfs_root(g, 0),
+        # roots in the component with the cycle and at the isolated vertex
+        *(lambda r=root: bfs_root(g, r) for root in range(g.n)),
         lambda: wr2_tree(g),
         lambda: wrc_tree(g, 2),
         lambda: sr_tree(g),
