@@ -38,9 +38,6 @@ class EdgePartition:
     def __post_init__(self):
         object.__setattr__(self, "part", tuple(int(p) for p in self.part))
 
-    def edges_of(self, i: int) -> list[int]:
-        return [e for e, p in enumerate(self.part) if p == i]
-
     def part_sizes(self) -> list[int]:
         sizes = [0] * self.k
         for p in self.part:

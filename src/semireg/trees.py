@@ -2,11 +2,11 @@
 
 Three constructions on trees:
 
-* an exact decision procedure for splitting a tree into a (1,alpha)-forest
-  and a (1,beta)-forest, with a restart-and-force search over BFS order;
-  its vertex step is closed form, O(deg v), so one pass is O(n);
-* its c-way generalization driven by per-edge forbidden-color sets, whose
-  vertex step (``vertex_feasible``) searches target vectors;
+* an exact decision procedure for splitting a tree into c forests, forest
+  k a (1,alphas[k])-forest, with one restart-and-ban search over BFS
+  order; the two-forest split of the paper is its c = 2 case, whose vertex
+  step is closed form, O(deg v), so one pass is O(n), while every other c
+  takes ``vertex_feasible``, which searches target vectors;
 * a binary-expansion labeling producing O(log max_degree) weakly
   semiregular forests, and the optimal semiregular decomposition into
   exactly ceil(max_degree / 2) parts.
@@ -22,8 +22,6 @@ from typing import Collection, Optional, Sequence
 
 from .families import EdgePartition
 from .graph import DegreeSet, Graph, RootedTree, bfs_root, degree_set
-
-_FREE = -1
 
 
 def candidate_pairs(degrees: Sequence[int] | DegreeSet, max_degree: int) -> list[tuple[int, int]]:
@@ -66,8 +64,8 @@ def vertex_feasible(
     Enumerates the <= 3^c per-color target vectors and solves each exact
     assignment by augmenting paths, which replaces a general
     degree-constrained-subgraph routine for these single-vertex instances.
-    This is the vertex step of the c-way split ``partition_forests``; the
-    two-forest split, which has no forbidden sets, uses a closed form.
+    This is the vertex step of the forest-split search for c != 2; the
+    c = 2 step is closed form.
     """
     c = len(targets)
     if len(forced_counts) != c:
@@ -126,117 +124,117 @@ def _require_rooted(t: Graph | RootedTree) -> RootedTree:
 
 def partition_two_forests(t: Graph | RootedTree, alpha: int, beta: int) -> Optional[EdgePartition]:
     """Split a tree into a (1,alpha)-forest (part 0) and a (1,beta)-forest
-    (part 1), or return None if impossible.
-
-    Each pass labels downward edges vertex by vertex.  The vertex step is
-    closed form, O(deg v), so one pass is O(n): with the parent edge's
-    label and the forced downward edges counted, it takes the smallest
-    label-0 degree in {0, 1, alpha} whose complement lies in {0, 1, beta},
-    and gives the first free edges label 0 and the rest label 1 (the
-    choice ``vertex_feasible`` makes with no forbidden sets).  When a
-    vertex cannot be completed, the current label of its parent edge is
-    provably wrong, so the opposite label is recorded as forced and the
-    pass restarts; a forced edge failing again is final.  At most one edge
-    is forced per restart, so the number of passes is bounded by m+1.
-    """
+    (part 1), or return None if impossible: the c = 2 case of ``_split``."""
     if not (1 <= alpha <= beta):
         raise ValueError("need 1 <= alpha <= beta")
-    rt = _require_rooted(t)
-    g = rt.graph
-    if g.m == 0:
-        return EdgePartition(2, ())
-    down = rt.child_edges()
-    zero_targets = sorted({0, 1, alpha})
-    one_targets = {0, 1, beta}
-
-    forced = [_FREE] * g.m
-    restarts = 0
-    while True:
-        labels = [_FREE] * g.m
-        broke = False
-        for v in rt.order:
-            pe = rt.parent_edge[v]
-            base = [0, 0]
-            if pe is not None:
-                base[labels[pe]] += 1
-            free = 0
-            for e in down[v]:
-                if forced[e] == _FREE:
-                    free += 1
-                else:
-                    base[forced[e]] += 1
-            total = free + base[0] + base[1]
-            zeros = -1
-            for t0 in zero_targets:
-                if 0 <= t0 - base[0] <= free and total - t0 in one_targets:
-                    zeros = t0 - base[0]
-                    break
-            if zeros < 0:
-                if pe is None or forced[pe] != _FREE:
-                    return None
-                forced[pe] = 1 - labels[pe]
-                restarts += 1
-                assert restarts <= g.m, "restart bound exceeded"
-                broke = True
-                break
-            for e in down[v]:
-                if forced[e] != _FREE:
-                    labels[e] = forced[e]
-                elif zeros:
-                    labels[e] = 0
-                    zeros -= 1
-                else:
-                    labels[e] = 1
-        if not broke:
-            return EdgePartition(2, tuple(labels))
+    return _split(_require_rooted(t), (alpha, beta))
 
 
 def partition_forests(t: Graph | RootedTree, alphas: Sequence[int]) -> Optional[EdgePartition]:
     """Split a tree into c forests, forest k a (1, alphas[k])-forest, or None.
-
-    Same restart discipline as the two-forest case, except failures grow a
-    per-edge forbidden-color set instead of forcing a single label, so the
-    pass count is bounded by c*m + 1.
-    """
-    c = len(alphas)
-    if c < 1:
+    For c = 2 this is ``partition_two_forests``, witnesses included."""
+    if len(alphas) < 1:
         raise ValueError("need at least one part")
     if any(a < 1 for a in alphas):
         raise ValueError("alphas must be >= 1")
-    rt = _require_rooted(t)
-    g = rt.graph
-    if g.m == 0:
+    return _split(_require_rooted(t), tuple(alphas))
+
+
+class _LabelSets(dict):
+    """Banned-label sets by mask, each built on first use."""
+
+    def __missing__(self, mask: int) -> frozenset[int]:
+        labels = self[mask] = frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+        return labels
+
+
+def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
+    """The restart-and-ban search behind both forest splits.
+
+    Each pass labels the downward edges vertex by vertex in BFS order.  When
+    a vertex cannot be completed, the current label of its parent edge is
+    provably wrong, so it is banned there (one bit of a per-edge mask) and
+    the pass restarts.  A failing root, or an edge with every label banned,
+    means no split exists; an edge survives at most c - 1 bans, so there
+    are at most (c - 1)*m restarts.
+
+    For c = 2 the vertex step is closed form, O(deg v), so a pass is O(n):
+    counting the parent edge and the forced downward edges, it takes the
+    smallest label-0 degree in {0, 1, alphas[0]} whose complement lies in
+    {0, 1, alphas[1]}, and gives the first free edges label 0 and the rest
+    label 1.  Any other c takes ``vertex_feasible``, every downward edge a
+    slot whose forbidden set is its banned labels.
+    """
+    c = len(alphas)
+    m = rt.graph.m
+    if m == 0:
         return EdgePartition(c, ())
     down = rt.child_edges()
-    targets = [{0, 1, a} for a in alphas]
-    zeros = [0] * c
+    full = (1 << c) - 1
+    two = c == 2
+    if two:
+        zero_targets = sorted({0, 1, alphas[0]})
+        one_targets = {0, 1, alphas[1]}
+    else:
+        targets = [{0, 1, a} for a in alphas]
+        no_forced = [0] * c
+        label_sets = _LabelSets()
 
-    forbid: list[set[int]] = [set() for _ in range(g.m)]
+    parent_edge = rt.parent_edge
+    banned = [0] * m
     restarts = 0
     while True:
-        labels = [_FREE] * g.m
-        broke = False
+        labels = [-1] * m
         for v in rt.order:
-            pe = rt.parent_edge[v]
-            parent_color = labels[pe] if pe is not None else None
             edges = down[v]
-            colors = vertex_feasible(
-                len(edges), zeros, parent_color,
-                [forbid[e] for e in edges], targets,
-            )
-            if colors is None:
-                if pe is None:
-                    return None
-                if labels[pe] in forbid[pe]:
-                    return None
-                forbid[pe].add(labels[pe])
-                restarts += 1
-                assert restarts <= c * g.m, "restart bound exceeded"
-                broke = True
-                break
-            for e, k in zip(edges, colors):
-                labels[e] = k
-        if not broke:
+            if not edges:
+                continue  # a leaf fits: every target set holds 0 and 1
+            pe = parent_edge[v]
+            if two:
+                # counts by mask 0, 1, 2: free, forced to 1, forced to 0;
+                # the parent edge counts as forced to its label
+                counts = [0, 0, 0]
+                for e in edges:
+                    counts[banned[e]] += 1
+                if pe is not None:
+                    counts[2 - labels[pe]] += 1
+                free, base1, base0 = counts
+                total = free + base0 + base1
+                zeros = -1
+                for t0 in zero_targets:
+                    if 0 <= t0 - base0 <= free and total - t0 in one_targets:
+                        zeros = t0 - base0
+                        break
+                if zeros >= 0:
+                    for e in edges:
+                        b = banned[e]
+                        if b:
+                            labels[e] = b & 1
+                        elif zeros:
+                            labels[e] = 0
+                            zeros -= 1
+                        else:
+                            labels[e] = 1
+                    continue
+            else:
+                parent_color = labels[pe] if pe is not None else None
+                colors = vertex_feasible(
+                    len(edges), no_forced, parent_color,
+                    [label_sets[banned[e]] for e in edges], targets,
+                )
+                if colors is not None:
+                    for e, k in zip(edges, colors):
+                        labels[e] = k
+                    continue
+            if pe is None:
+                return None
+            banned[pe] |= 1 << labels[pe]
+            if banned[pe] == full:
+                return None
+            restarts += 1
+            assert restarts <= (c - 1) * m, "restart bound exceeded"
+            break
+        else:
             return EdgePartition(c, tuple(labels))
 
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -7,6 +9,7 @@ from semireg import (
     EdgePartition,
     Family,
     Graph,
+    RootedTree,
     bfs_root,
     candidate_pairs,
     cycle,
@@ -25,6 +28,7 @@ from semireg import (
     wr2_tree,
     wrc_tree,
 )
+from semireg import trees
 from semireg.oracles import OracleBudget
 from helpers import make_degree_tree, random_hub_tree, random_tree
 
@@ -170,16 +174,107 @@ def test_partition_forests_examples():
     assert partition_forests(path(3), (2,)) is not None
 
 
-def test_two_way_agreement_on_random_trees():
+def _two_way_agreement_trees():
+    # the c-way loop with a forbidden-set vertex step gave (1, 0, 0, 0, 0, 0)
+    # here, the two-forest split (0, 0, 1, 0, 0, 0)
+    yield Graph(7, ((2, 0), (3, 0), (4, 0), (0, 1), (5, 1), (1, 6))), 3, 4
     rng = random.Random(29)
     for _ in range(1000):
         t = random_tree(rng.randrange(2, 31), rng)
         delta = max(degree_set(t))
         alpha = rng.randrange(1, delta + 1)
-        beta = rng.randrange(alpha, delta + 1)
+        yield t, alpha, rng.randrange(alpha, delta + 1)
+
+
+def test_two_way_agreement_on_random_trees():
+    for t, alpha, beta in _two_way_agreement_trees():
         two = partition_two_forests(t, alpha, beta)
         many = partition_forests(t, (alpha, beta))
-        assert (two is None) == (many is None)
+        assert (None if two is None else two.part) == (None if many is None else many.part)
+
+
+def _reference_forests(t, alphas):
+    """The c-way split as a loop of its own: per-edge forbidden sets, every
+    downward edge a ``vertex_feasible`` slot, and no stop when an edge's set
+    fills up."""
+    c = len(alphas)
+    if c < 1:
+        raise ValueError("need at least one part")
+    if any(a < 1 for a in alphas):
+        raise ValueError("alphas must be >= 1")
+    rt = t if isinstance(t, RootedTree) else bfs_root(t, 0)
+    g = rt.graph
+    if g.m == 0:
+        return EdgePartition(c, ())
+    down = rt.child_edges()
+    targets = [{0, 1, a} for a in alphas]
+    zeros = [0] * c
+
+    forbid: list[set[int]] = [set() for _ in range(g.m)]
+    restarts = 0
+    while True:
+        labels = [-1] * g.m
+        broke = False
+        for v in rt.order:
+            pe = rt.parent_edge[v]
+            parent_color = labels[pe] if pe is not None else None
+            edges = down[v]
+            colors = vertex_feasible(
+                len(edges), zeros, parent_color,
+                [forbid[e] for e in edges], targets,
+            )
+            if colors is None:
+                if pe is None:
+                    return None
+                if labels[pe] in forbid[pe]:
+                    return None
+                forbid[pe].add(labels[pe])
+                restarts += 1
+                assert restarts <= c * g.m, "restart bound exceeded"
+                broke = True
+                break
+            for e, k in zip(edges, colors):
+                labels[e] = k
+        if not broke:
+            return EdgePartition(c, tuple(labels))
+
+
+def _forest_pinning_trees():
+    for n in range(1, 7):
+        yield from enumerate_trees(n)
+    rng = random.Random(59)
+    for _ in range(60):
+        yield random_tree(rng.randrange(2, 16), rng)
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_partition_forests_matches_reference_loop(c):
+    for t in _forest_pinning_trees():
+        rt = bfs_root(t, 0)
+        delta = max(degree_set(t), default=1)
+        for alphas in itertools.combinations_with_replacement(range(1, delta + 1), c):
+            assert partition_forests(rt, alphas) == _reference_forests(rt, alphas)
+
+
+def test_partition_forests_stops_when_an_edge_has_every_label_banned(monkeypatch):
+    # K_{1,4} rooted at a leaf: the centre fails under each of the three
+    # labels of the root edge, and the third failure bans its last label
+    t = Graph(5, ((0, 1), (2, 1), (3, 1), (1, 4)))
+    calls = {"n": 0}
+    step = vertex_feasible
+
+    def counting(*args):
+        calls["n"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(trees, "vertex_feasible", counting)
+    assert partition_forests(t, (1, 1, 1)) is None
+    stopped_after = calls["n"]
+    monkeypatch.setattr(sys.modules[__name__], "vertex_feasible", counting)
+    calls["n"] = 0
+    assert _reference_forests(t, (1, 1, 1)) is None
+    # the reference takes one more pass, in which the root fails
+    assert calls["n"] == stopped_after + 1
 
 
 def test_wr2_tree_small_degree_set_shortcut():
