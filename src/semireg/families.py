@@ -36,7 +36,7 @@ class EdgePartition:
     part: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "part", tuple(int(p) for p in self.part))
+        object.__setattr__(self, "part", tuple(map(int, self.part)))
 
     def part_sizes(self) -> list[int]:
         sizes = [0] * self.k

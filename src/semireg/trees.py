@@ -3,10 +3,12 @@
 Three constructions on trees:
 
 * an exact decision procedure for splitting a tree into c forests, forest
-  k a (1,alphas[k])-forest, with one restart-and-ban search over BFS
-  order; the two-forest split of the paper is its c = 2 case, whose vertex
-  step is closed form, O(deg v), so one pass is O(n), while every other c
-  takes ``vertex_feasible``, which searches target vectors;
+  k a (1,alphas[k])-forest: a top-down labelling pass over BFS order, and
+  only if it fails, one bottom-up pass that bans every label a parent edge
+  cannot take and a second labelling pass.  The two-forest split of the
+  paper is its c = 2 case, whose vertex step is closed form, O(deg v), so
+  it is O(n) per pair, while every other c takes ``vertex_feasible``,
+  which searches target vectors;
 * a binary-expansion labeling producing O(log max_degree) weakly
   semiregular forests, and the optimal semiregular decomposition into
   exactly ceil(max_degree / 2) parts.
@@ -72,8 +74,6 @@ def vertex_feasible(
         raise ValueError("forced_counts and targets must have equal length")
     if len(forbidden) != free_slots:
         raise ValueError("one forbidden set per free slot required")
-    if free_slots == 0 and c == 0:
-        return []
     options = [sorted(set(t)) for t in targets]
     parent_add = [1 if parent_color == k else 0 for k in range(c)]
     for vector in itertools.product(*options):
@@ -149,28 +149,27 @@ class _LabelSets(dict):
 
 
 def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
-    """The restart-and-ban search behind both forest splits.
+    """The search behind both forest splits: a labelling pass, and only if
+    it fails, one ban pass and a second labelling pass.
 
-    Each pass labels the downward edges vertex by vertex in BFS order.  When
-    a vertex cannot be completed, the current label of its parent edge is
-    provably wrong, so it is banned there (one bit of a per-edge mask) and
-    the pass restarts.  A failing root, or an edge with every label banned,
-    means no split exists; an edge survives at most c - 1 bans, so there
-    are at most (c - 1)*m restarts.
+    A labelling pass labels the downward edges vertex by vertex in BFS
+    order and stops at the first vertex it cannot complete.  The ban pass
+    walks the BFS order backwards and bans on each parent edge (one bit of
+    a per-edge mask) every label under which the vertex below cannot be
+    completed, given the bans below it.  Every ban is sound, so an edge with
+    every label banned means no split exists, and in the second labelling
+    pass only the root can fail, which also means no split exists.
 
-    For c = 2 the vertex step is closed form, O(deg v), so a pass is O(n):
-    counting the parent edge and the forced downward edges, it takes the
-    smallest label-0 degree in {0, 1, alphas[0]} whose complement lies in
-    {0, 1, alphas[1]}, and gives the first free edges label 0 and the rest
-    label 1.  Any other c takes ``vertex_feasible``, every downward edge a
-    slot whose forbidden set is its banned labels.
+    For c = 2 the vertex step is closed form, O(deg v), so the split is
+    O(n): counting the parent edge and the forced downward edges, it takes
+    the smallest label-0 degree in {0, 1, alphas[0]} whose complement lies
+    in {0, 1, alphas[1]}, and gives the first free edges label 0 and the
+    rest label 1.  Any other c takes ``vertex_feasible``, every downward
+    edge a slot whose forbidden set is its banned labels.
     """
     c = len(alphas)
     m = rt.graph.m
-    if m == 0:
-        return EdgePartition(c, ())
     down = rt.child_edges()
-    full = (1 << c) - 1
     two = c == 2
     if two:
         zero_targets = sorted({0, 1, alphas[0]})
@@ -179,11 +178,10 @@ def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
         targets = [{0, 1, a} for a in alphas]
         no_forced = [0] * c
         label_sets = _LabelSets()
-
     parent_edge = rt.parent_edge
     banned = [0] * m
-    restarts = 0
-    while True:
+    # a labelling pass; only if it fails, the ban pass and a second one
+    for second in (False, True):
         labels = [-1] * m
         for v in rt.order:
             edges = down[v]
@@ -200,42 +198,51 @@ def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
                     counts[2 - labels[pe]] += 1
                 free, base1, base0 = counts
                 total = free + base0 + base1
-                zeros = -1
                 for t0 in zero_targets:
                     if 0 <= t0 - base0 <= free and total - t0 in one_targets:
                         zeros = t0 - base0
                         break
-                if zeros >= 0:
-                    for e in edges:
-                        b = banned[e]
-                        if b:
-                            labels[e] = b & 1
-                        elif zeros:
-                            labels[e] = 0
-                            zeros -= 1
-                        else:
-                            labels[e] = 1
-                    continue
+                else:
+                    break  # no label-0 degree fits: the pass fails at v
+                for e in edges:
+                    if banned[e]:
+                        labels[e] = banned[e] & 1
+                    else:
+                        labels[e] = 0 if zeros > 0 else 1
+                        zeros -= 1
             else:
-                parent_color = labels[pe] if pe is not None else None
-                colors = vertex_feasible(
-                    len(edges), no_forced, parent_color,
-                    [label_sets[banned[e]] for e in edges], targets,
-                )
-                if colors is not None:
-                    for e, k in zip(edges, colors):
-                        labels[e] = k
-                    continue
-            if pe is None:
-                return None
-            banned[pe] |= 1 << labels[pe]
-            if banned[pe] == full:
-                return None
-            restarts += 1
-            assert restarts <= (c - 1) * m, "restart bound exceeded"
-            break
+                colors = vertex_feasible(len(edges), no_forced, None if pe is None else labels[pe],
+                                         [label_sets[banned[e]] for e in edges], targets)
+                if colors is None:
+                    break
+                for e, k in zip(edges, colors):
+                    labels[e] = k
         else:
             return EdgePartition(c, tuple(labels))
+        if second:
+            return None
+        for v in reversed(rt.order):
+            edges = down[v]
+            pe = parent_edge[v]
+            if not edges or pe is None:
+                continue
+            if two:
+                counts = [0, 0, 0]
+                for e in edges:
+                    counts[banned[e]] += 1
+                free, base1, base0 = counts
+                total = free + base0 + base1 + 1
+                # low: the label-0 degree before any free edge takes label 0
+                for p, low in ((0, base0 + 1), (1, base0)):
+                    if not any(low <= t0 <= low + free and total - t0 in one_targets for t0 in zero_targets):
+                        banned[pe] |= 1 << p
+            else:
+                forbidden = [label_sets[banned[e]] for e in edges]
+                for p in range(c):
+                    if vertex_feasible(len(edges), no_forced, p, forbidden, targets) is None:
+                        banned[pe] |= 1 << p
+            if banned[pe] == (1 << c) - 1:
+                return None
 
 
 def wr2_tree(t: Graph) -> Optional[EdgePartition]:
@@ -316,12 +323,21 @@ def log_tree_partition(t: Graph) -> EdgePartition:
     return EdgePartition(len(used), tuple(remap[lab] for lab in label))
 
 
-def _greedy_tree_coloring(rt: RootedTree) -> list[int]:
-    """Proper edge coloring of a tree with exactly max-degree colors: child
-    edge i of a vertex gets color i, or i + 1 once i reaches the color of
-    the vertex's parent edge."""
+def sr_tree(t: Graph) -> EdgePartition:
+    """Optimal semiregular decomposition of a tree: exactly
+    ceil(max_degree / 2) parts, each with degrees in {1, 2}.
+
+    Properly colors the edges with max-degree colors (trees are bipartite,
+    so that many suffice): child edge i of a vertex gets color i, or i + 1
+    once i reaches the color of the vertex's parent edge.  Then it merges
+    color i with color i + ceil(D/2); each part is a union of at most two
+    matchings.
+    """
+    if t.m == 0:
+        raise ValueError("tree has no edges")
+    rt = bfs_root(t, 0)
     down = rt.child_edges()
-    color = [-1] * rt.graph.m
+    color = [-1] * t.m
     for v in rt.order:
         kids = down[v]
         if kids:
@@ -329,19 +345,5 @@ def _greedy_tree_coloring(rt: RootedTree) -> list[int]:
             taken = len(kids) if pe is None else color[pe]
             for i, e in enumerate(kids):
                 color[e] = i if i < taken else i + 1
-    return color
-
-
-def sr_tree(t: Graph) -> EdgePartition:
-    """Optimal semiregular decomposition of a tree: exactly
-    ceil(max_degree / 2) parts, each with degrees in {1, 2}.
-
-    Properly colors the edges with max-degree colors (trees are bipartite,
-    so that many suffice), then merges color i with color i + ceil(D/2);
-    each part is a union of at most two matchings.
-    """
-    if t.m == 0:
-        raise ValueError("tree has no edges")
-    color = _greedy_tree_coloring(bfs_root(t, 0))
     half = (max(color) + 2) // 2  # the coloring uses exactly max_degree colors
     return EdgePartition(half, tuple(c if c < half else c - half for c in color))

@@ -72,6 +72,22 @@ def planted_tree(n: int, alpha: int, beta: int, rng: random.Random) -> Graph:
     return Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
 
 
+class WalkCounter(tuple):
+    """A BFS order that counts how often it is walked, forwards or
+    backwards; swap it into a rooted tree with
+    ``dataclasses.replace(rt, order=WalkCounter(rt.order))``."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def __reversed__(self):
+        self.walks += 1
+        return iter(self[::-1])
+
+
 def reference_bfs_root(g: Graph, v: int):
     """Rooting by BFS over the sorted ``Graph.adjacency`` lists, followed by
     a sort of all vertices by (depth, id) and a walk over the edges for the

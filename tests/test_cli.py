@@ -266,7 +266,7 @@ _GOLDEN_TREE_RUNS = [
         "68a3a31fec5fd98110bba2de86e1edb7f73204264c5d582366cc6f915eff7b37",
         id="alg3-hubs",
     ),
-    pytest.param(  # YES after the search has restarted 27 times
+    pytest.param(  # YES, but the first labelling fails, so the ban pass runs
         ["decide", "wr2-tree"], lambda: planted_tree(2000, 1, 3, random.Random(0)), 0,
         "1523476fa2ba5a2a45104f437afc4c8077c34dbecdd5a13e23de4fea2e16ebe6",
         "16b9df90962fa89ad74c416371bc90002ac0da66d6b09a762604d343cd2edacb",

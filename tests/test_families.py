@@ -41,6 +41,14 @@ def test_part_subgraph():
         part_subgraph(g, EdgePartition(2, (0, 1, 1)), 2)
 
 
+def test_edge_partition_stores_part_ids_as_an_int_tuple():
+    p = EdgePartition(2, [True, 0, False, 1])
+    assert p.part == (1, 0, 0, 1)
+    assert type(p.part) is tuple
+    assert all(type(q) is int for q in p.part)
+    assert p == EdgePartition(2, (1, 0, 0, 1))
+
+
 def test_part_subgraphs_partition_the_edges():
     rng = random.Random(11)
     for _ in range(20):

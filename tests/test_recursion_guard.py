@@ -1,14 +1,17 @@
 """The constructive algorithms at about 10^4 edges with almost no spare
 recursion depth: any recursion in proportion to n or m fails here."""
 
+import dataclasses
 import random
 import sys
 
 from semireg import (
     Graph,
+    bfs_root,
     bipartite_color,
     four_regularize,
     log_tree_partition,
+    partition_two_forests,
     sr_general,
     sr_tree,
     two_factorize,
@@ -16,7 +19,7 @@ from semireg import (
     wr2_deg4,
     wr2_tree,
 )
-from helpers import random_path_deg4_graph
+from helpers import WalkCounter, random_path_deg4_graph
 
 
 def _caterpillar(spine: int, rng: random.Random) -> Graph:
@@ -28,6 +31,28 @@ def _caterpillar(spine: int, rng: random.Random) -> Graph:
         if rng.random() < 0.5:
             edges.append((i, n))
             n += 1
+    return Graph(n, tuple(edges))
+
+
+def _planted_caterpillar(spine: int, rng: random.Random) -> Graph:
+    """A path with leaves on its inner vertices, built around a hidden
+    split into a matching (label 0) and a (1,3)-forest (label 1): each
+    inner vertex draws the label of its next path edge and how many
+    leaves of either label it gets, keeping its degree in label 0 in
+    {0, 1} and in label 1 in {0, 1, 3}."""
+    targets = ((0, 1), (0, 1, 3))
+    edges = []
+    n = spine
+    up = None  # the label of the path edge above vertex i
+    for i in range(spine - 1):
+        have = [int(up == 0), int(up == 1)]
+        up = rng.choice([lab for lab in (0, 1) if have[lab] < targets[lab][-1]])
+        have[up] += 1
+        edges.append((i, i + 1))
+        for lab in (0, 1):
+            for _ in range(rng.choice([t - have[lab] for t in targets[lab] if t >= have[lab]])):
+                edges.append((i, n))
+                n += 1
     return Graph(n, tuple(edges))
 
 
@@ -59,10 +84,14 @@ def test_constructions_do_not_recurse_with_input_size():
     host, _ = four_regularize(random_path_deg4_graph(1000, rng))
     cover = _bipartite_double_cover(random_path_deg4_graph(2500, rng))
     prism = _prism(3300)
+    planted = bfs_root(_planted_caterpillar(5001, rng), 0)  # depth 5000
+    counted = dataclasses.replace(planted, order=WalkCounter(planted.order))
     calls = [
         lambda: sr_tree(tree),
         lambda: log_tree_partition(tree),
         lambda: wr2_tree(tree),
+        lambda: wr2_tree(planted.graph),
+        lambda: partition_two_forests(counted, 1, 3),
         lambda: sr_general(deg4),
         lambda: bipartite_color(cover),
         lambda: wr2_deg4(deg4),
@@ -76,3 +105,5 @@ def test_constructions_do_not_recurse_with_input_size():
             call()
     finally:
         sys.setrecursionlimit(limit)
+    # the caterpillar's first labelling failed, so the ban pass ran too
+    assert counted.order.walks == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -30,7 +31,7 @@ from semireg import (
 )
 from semireg import trees
 from semireg.oracles import OracleBudget
-from helpers import make_degree_tree, random_hub_tree, random_tree
+from helpers import WalkCounter, make_degree_tree, planted_tree, random_hub_tree, random_tree
 
 
 def test_candidate_pairs():
@@ -61,6 +62,9 @@ def test_vertex_feasible_examples():
 
     # no free edges, parent carries color 0
     assert vertex_feasible(0, [0], 0, [], [{0, 1, 4}]) == []
+
+    # no colors at all: the one empty target vector colors nothing
+    assert vertex_feasible(0, [], None, [], []) == []
 
 
 def test_vertex_feasible_respects_forbidden_sets():
@@ -173,6 +177,11 @@ def test_partition_forests_examples():
     assert partition_forests(path(3), (1,)) is None
     assert partition_forests(path(3), (2,)) is not None
 
+    # a single vertex has no downward edge: the first pass gives empty parts
+    single = Graph(1, ())
+    assert partition_forests(single, (1, 2, 3)) == EdgePartition(3, ())
+    assert partition_two_forests(single, 1, 1) == EdgePartition(2, ())
+
 
 def _two_way_agreement_trees():
     # the c-way loop with a forbidden-set vertex step gave (1, 0, 0, 0, 0, 0)
@@ -256,10 +265,8 @@ def test_partition_forests_matches_reference_loop(c):
             assert partition_forests(rt, alphas) == _reference_forests(rt, alphas)
 
 
-def test_partition_forests_stops_when_an_edge_has_every_label_banned(monkeypatch):
-    # K_{1,4} rooted at a leaf: the centre fails under each of the three
-    # labels of the root edge, and the third failure bans its last label
-    t = Graph(5, ((0, 1), (2, 1), (3, 1), (1, 4)))
+def _count_vertex_steps(monkeypatch, *modules):
+    """Swap a call-counting ``vertex_feasible`` into each module."""
     calls = {"n": 0}
     step = vertex_feasible
 
@@ -267,14 +274,52 @@ def test_partition_forests_stops_when_an_edge_has_every_label_banned(monkeypatch
         calls["n"] += 1
         return step(*args)
 
-    monkeypatch.setattr(trees, "vertex_feasible", counting)
+    for module in modules:
+        monkeypatch.setattr(module, "vertex_feasible", counting)
+    return calls
+
+
+def test_partition_forests_stops_when_an_edge_has_every_label_banned(monkeypatch):
+    # K_{1,4} rooted at a leaf: the labelling pass fails at the centre, the
+    # ban pass finds the centre failing under each of the three labels of
+    # the root edge, and the search stops there without another pass
+    t = Graph(5, ((0, 1), (2, 1), (3, 1), (1, 4)))
+    calls = _count_vertex_steps(monkeypatch, trees, sys.modules[__name__])
     assert partition_forests(t, (1, 1, 1)) is None
     stopped_after = calls["n"]
-    monkeypatch.setattr(sys.modules[__name__], "vertex_feasible", counting)
+    # the root, the failing centre, and one call per banned label
+    assert stopped_after == 5
     calls["n"] = 0
     assert _reference_forests(t, (1, 1, 1)) is None
-    # the reference takes one more pass, in which the root fails
-    assert calls["n"] == stopped_after + 1
+    assert stopped_after < calls["n"]
+
+
+def _walk_counting(t):
+    rt = bfs_root(t, 0)
+    return dataclasses.replace(rt, order=WalkCounter(rt.order))
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 3), (3, 5)])
+def test_two_forest_split_of_a_planted_tree_walks_it_three_times(alpha, beta):
+    # the first labelling fails, so the ban pass and a second labelling
+    # run; a search that relabels after each ban walked a planted (1,3)
+    # tree on 5000 vertices 124 times
+    rt = _walk_counting(planted_tree(20000, alpha, beta, random.Random(7)))
+    p = partition_two_forests(rt, alpha, beta)
+    assert p is not None
+    assert verify_partition(rt.graph, p, Family.WEAKLY_SEMIREGULAR)
+    assert rt.order.walks == 3
+
+
+def test_forest_split_of_a_planted_tree_takes_linear_vertex_steps(monkeypatch):
+    calls = _count_vertex_steps(monkeypatch, trees)
+    n, alphas = 5000, (1, 3, 5)
+    rt = _walk_counting(planted_tree(n, 3, 5, random.Random(7)))
+    p = partition_forests(rt, alphas)
+    assert p is not None
+    assert verify_partition(rt.graph, p, Family.WEAKLY_SEMIREGULAR)
+    assert rt.order.walks == 3
+    assert calls["n"] <= (len(alphas) + 2) * n
 
 
 def test_wr2_tree_small_degree_set_shortcut():
