@@ -4,8 +4,9 @@ bipartite_color gives an exact max-degree coloring of bipartite graphs by
 alternating-path recoloring; vizing colors any simple graph with at most
 max_degree + 1 colors by fan rotation, which powers the general
 semiregular bound.  two_factorize splits a 2k-regular multigraph into k
-spanning 2-regular factors via an Euler orientation and repeated perfect
-matchings, which powers the degree-at-most-4 weakly semiregular split.
+spanning 2-regular factors by Euler-circuit 2-factorization: alternation
+at degree 4, Konig colouring of the out/in incidence graph otherwise.  It
+powers the degree-at-most-4 weakly semiregular split.
 """
 
 from __future__ import annotations
@@ -167,7 +168,9 @@ def _euler_circuit_arcs(g: Graph) -> list[tuple[int, int, int]]:
     """Orient all edges along per-component Euler circuits.
 
     Returns arcs (tail, head, edge id); every vertex ends up with equal
-    in- and out-degree.  Requires all degrees even.
+    in- and out-degree.  Each component's arcs are contiguous and in
+    circuit order, the head of one arc being the tail of the next.
+    Requires all degrees even.
     """
     adj = g.adjacency()
     used = [False] * g.m
@@ -205,65 +208,15 @@ def _euler_circuit_arcs(g: Graph) -> list[tuple[int, int, int]]:
     return arcs
 
 
-def _peel_matchings(n: int, arcs: list[tuple[int, int, int]], k: int) -> list[list[int]]:
-    """Split a k-regular out/in incidence relation into k perfect matchings."""
-    alive = [True] * len(arcs)
-    by_tail: list[list[int]] = [[] for _ in range(n)]
-    for idx, (t, _, _) in enumerate(arcs):
-        by_tail[t].append(idx)
-    tails = [v for v in range(n) if by_tail[v]]
-    rounds: list[list[int]] = []
-    for _ in range(k):
-        match_head: dict[int, int] = {}
-
-        def claim(root: int) -> bool:
-            """Depth-first augmenting path from ``root``, trying arcs in
-            ``by_tail`` order; the path lives on an explicit stack, since
-            it can be as long as the graph."""
-            visited: set[int] = set()
-            stack = [[root, 0]]  # [tail, next position in by_tail[tail]]
-            taken: list[int] = []  # the arc leaving each frame below the top
-            while stack:
-                frame = stack[-1]
-                out = by_tail[frame[0]]
-                i = frame[1]
-                while i < len(out):
-                    idx = out[i]
-                    i += 1
-                    h = arcs[idx][1]
-                    if alive[idx] and h not in visited:
-                        break
-                else:
-                    stack.pop()
-                    if taken:
-                        taken.pop()
-                    continue
-                frame[1] = i
-                visited.add(h)
-                taken.append(idx)
-                if h not in match_head:
-                    for a in taken:
-                        match_head[arcs[a][1]] = a
-                    return True
-                stack.append([arcs[match_head[h]][0], 0])
-            return False
-
-        for t in tails:
-            ok = claim(t)
-            assert ok, "regular bipartite incidence graph must have a perfect matching"
-        chosen = sorted(match_head.values())
-        for idx in chosen:
-            alive[idx] = False
-        rounds.append(sorted(arcs[idx][2] for idx in chosen))
-    return rounds
-
-
 def two_factorize(g: Graph) -> TwoFactorization:
     """Split a 2k-regular multigraph into k spanning 2-regular factors.
 
     Per component: Euler circuit -> orientation with in-degree =
-    out-degree = k -> k perfect matchings of the out/in incidence graph,
-    each pulling back to a 2-factor.
+    out-degree = k.  At degree 4 each circuit has even length (a component
+    has twice as many edges as vertices), so alternate arcs of it form the
+    two factors.  At any other degree the
+    out/in incidence graph is k-regular bipartite, and each colour class of
+    its Konig colouring is a perfect matching pulling back to a 2-factor.
     """
     deg = g.degrees()
     if g.n == 0 or g.m == 0:
@@ -274,11 +227,16 @@ def two_factorize(g: Graph) -> TwoFactorization:
     d = values.pop()
     if d == 0 or d % 2 != 0:
         raise ValueError("degree must be positive and even")
-    k = d // 2
     arcs = _euler_circuit_arcs(g)
     assert len(arcs) == g.m
-    rounds = _peel_matchings(g.n, arcs, k)
-    return TwoFactorization(tuple(tuple(r) for r in rounds))
+    if d == 4:
+        rounds = [[e for _, _, e in arcs[0::2]], [e for _, _, e in arcs[1::2]]]
+    else:
+        incidence = Graph(2 * g.n, tuple((t, g.n + h) for t, h, _ in arcs))
+        rounds = [[] for _ in range(d // 2)]
+        for (_, _, e), c in zip(arcs, bipartite_color(incidence).colors):
+            rounds[c].append(e)
+    return TwoFactorization(tuple(tuple(sorted(r)) for r in rounds))
 
 
 def four_regularize(g: Graph) -> tuple[Graph, tuple[int, ...]]:

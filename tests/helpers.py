@@ -150,7 +150,7 @@ def random_deg4_graph(n: int, rng: random.Random) -> Graph:
 def random_path_deg4_graph(n: int, rng: random.Random) -> Graph:
     """Connected simple graph with max degree <= 4 in linear time: a random
     Hamiltonian path plus up to 2n random chords between vertices of
-    degree < 4.  Long paths make deep augmenting searches."""
+    degree < 4.  Long paths make long Euler circuits."""
     order = list(range(n))
     rng.shuffle(order)
     edges = list(zip(order, order[1:]))

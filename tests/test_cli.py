@@ -270,7 +270,7 @@ _GOLDEN_TREE_RUNS = [
         ["decide", "wr2-tree"], lambda: planted_tree(2000, 1, 3, random.Random(0)), 0,
         "1523476fa2ba5a2a45104f437afc4c8077c34dbecdd5a13e23de4fea2e16ebe6",
         "16b9df90962fa89ad74c416371bc90002ac0da66d6b09a762604d343cd2edacb",
-        id="wr2-yes-restarts",
+        id="wr2-yes-ban-pass",
     ),
     pytest.param(
         ["decide", "wr2-tree"], lambda: planted_tree(3000, 1, 2, random.Random(1)), 0,

@@ -128,6 +128,13 @@ def test_two_factorize_examples():
     assert len(tf.factors) == 1
     _check_two_factorization(two_triangles, tf)
 
+    # 4-regular with two components: each circuit must have even length
+    doubled = Graph(3, ((0, 1), (1, 2), (2, 0)) * 2)
+    split = disjoint_union([complete(5), doubled])
+    tf = two_factorize(split)
+    assert len(tf.factors) == 2
+    _check_two_factorization(split, tf)
+
 
 def test_two_factorize_multigraph():
     doubled = Graph(3, ((0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)))
@@ -136,11 +143,33 @@ def test_two_factorize_multigraph():
     _check_two_factorization(doubled, tf)
 
 
+def _hamiltonian_cycle_union(n, k, rng):
+    edges = []
+    for _ in range(k):
+        order = list(range(n))
+        rng.shuffle(order)
+        edges.extend(zip(order, order[1:] + order[:1]))
+    return Graph(n, tuple(edges))
+
+
+def test_two_factorize_degrees_other_than_four():
+    rng = random.Random(109)
+    graphs = [complete(7), complete(9), Graph(3, ((0, 1), (1, 2), (2, 0)) * 3)]
+    for k in (3, 4):
+        graphs.extend(_hamiltonian_cycle_union(rng.randrange(3, 40), k, rng) for _ in range(20))
+    for g in graphs:
+        tf = two_factorize(g)
+        assert len(tf.factors) == g.degrees()[0] // 2
+        _check_two_factorization(g, tf)
+
+
 def test_two_factorize_errors():
     with pytest.raises(ValueError):
         two_factorize(cycle(5).__class__(4, ((0, 1), (1, 2), (2, 3))))  # path: degrees 1,2
     with pytest.raises(ValueError):
         two_factorize(complete(4))  # 3-regular: odd degree
+    with pytest.raises(ValueError):
+        two_factorize(Graph(3, ()))  # no edges
 
 
 def test_four_regularize():
@@ -180,8 +209,10 @@ def test_wr2_deg4_examples():
 def test_wr2_deg4_random():
     rng = random.Random(107)
     graphs = [random_deg4_graph(rng.randrange(2, 25), rng) for _ in range(60)]
-    # connected and path-like, so augmenting paths run thousands of arcs deep
+    # connected and path-like, so the Euler circuit of the 4-regular host
+    # runs thousands of arcs long; the last graph has about 10^5 edges
     graphs.append(random_path_deg4_graph(3000, rng))
+    graphs.append(random_path_deg4_graph(56000, rng))
     for g in graphs:
         p = wr2_deg4(g)
         for i in range(2):
