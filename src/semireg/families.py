@@ -36,7 +36,11 @@ class EdgePartition:
     part: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "part", tuple(map(int, self.part)))
+        # through a list, so the tuple is allocated at its final length: a
+        # tuple grown from an iterator of unknown length is resized, and
+        # small ones freed after resizing pile up on CPython's per-size free
+        # lists until a full garbage collection
+        object.__setattr__(self, "part", tuple(list(map(int, self.part))))
 
     def part_sizes(self) -> list[int]:
         sizes = [0] * self.k

@@ -6,6 +6,12 @@ longer extend to a valid family member.  A vertex's degree in a part is
 final once its last incident edge has been assigned; the checks below only
 ever constrain finished degrees, which keeps pruning sound.
 
+Each call prepares one search per graph: a step per edge (its ends, and
+whether each end finishes there) and state arrays sized for the largest k.
+A search that fails unwinds fully, so the same arrays serve k = 1, 2, ...
+in turn, and per-part counts of finished degrees keep the degree cap of a
+part as one number.
+
 These searches are the ground truth the constructive algorithms are
 validated against, so they share nothing with those code paths beyond the
 basic graph type.
@@ -24,6 +30,10 @@ from .graph import Graph
 
 _HARD_EDGE_CAP = 24
 
+# the two "first family or locally irregular" families: a part leaves the
+# first family at its (first_cap + 1)-th distinct finished degree
+_FIRST_CAP = {Family.REGULAR_OR_LOCALLY_IRREGULAR: 1, Family.MIXED: 2}
+
 
 @dataclass(frozen=True)
 class OracleBudget:
@@ -37,22 +47,26 @@ class OracleBudget:
             raise ValueError("invalid budget")
 
 
+_DEFAULT_BUDGET = OracleBudget()
+
+
 def oracle_min_parts(
     g: Graph, f: Family, budget: Optional[OracleBudget] = None
 ) -> Optional[tuple[int, EdgePartition]]:
     """Least number of nonempty parts in an edge partition whose parts all
     satisfy the family, with a witness; None if no count within the part
     budget works."""
-    budget = budget or OracleBudget()
-    if g.m > budget.max_edges:
-        raise BudgetError(f"{g.m} edges exceed the budget of {budget.max_edges}")
-    if g.m == 0:
+    budget = budget or _DEFAULT_BUDGET
+    m = g.m
+    if m > budget.max_edges:
+        raise BudgetError(f"{m} edges exceed the budget of {budget.max_edges}")
+    if m == 0:
         return 0, EdgePartition(0, ())
-    for k in range(1, min(budget.max_parts, g.m) + 1):
-        found = _search_exact(g, f, k)
-        if found is not None:
-            return k, EdgePartition(k, tuple(found))
-    return None
+    found = _search(g, f, min(budget.max_parts, m))
+    if found is None:
+        return None
+    k, part = found
+    return k, EdgePartition(k, part)
 
 
 def oracle_mixed(g: Graph, budget: Optional[OracleBudget] = None):
@@ -60,136 +74,161 @@ def oracle_mixed(g: Graph, budget: Optional[OracleBudget] = None):
     return oracle_min_parts(g, Family.MIXED, budget)
 
 
-def _search_exact(g: Graph, f: Family, k: int) -> Optional[list[int]]:
-    """First canonical assignment onto exactly k nonempty valid parts."""
-    m, n = g.m, g.n
-    edges = g.edges
+def _search(g: Graph, f: Family, top: int) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Least k <= top with a canonical assignment of g's edges onto exactly
+    k nonempty parts valid for f, and the first such assignment; None if no
+    k works.
+
+    The search is prepared once: a search that fails at k unwinds everything
+    it changed, so the arrays allocated here at k = top serve every k.
+    """
+    edges, n = g.edges, g.n
+    m = len(edges)
     last = [-1] * n
     for e, (u, v) in enumerate(edges):
         last[u] = e
         last[v] = e
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(edges):
-        incident[u].append((v, e))
-        incident[v].append((u, e))
-
-    deg = [[0] * k for _ in range(n)]
-    fin = [False] * n
-    dcnt: list[dict[int, int]] = [{} for _ in range(k)]
-    bad_first = [False] * k   # regular (or weakly semiregular, for mixed) disqualified
-    bad_irr = [False] * k     # locally irregular disqualified
-    part = [-1] * m
+    # per edge: its ends, and whether each end finishes there
+    steps = [(u, v, last[u] == e, last[v] == e) for e, (u, v) in enumerate(edges)]
 
     wsr = f is Family.WEAKLY_SEMIREGULAR
     semi = f is Family.SEMIREGULAR
     reg = f is Family.REGULAR
-    locreg = f is Family.LOCALLY_REGULAR
     locirr = f is Family.LOCALLY_IRREGULAR
-    # the two "first family or locally irregular" families: a part leaves
-    # the first family at its (first_cap + 1)-th distinct finished degree
-    first_cap = {Family.REGULAR_OR_LOCALLY_IRREGULAR: 1, Family.MIXED: 2}.get(f, 0)
-    local_edges = locreg or locirr or first_cap > 0
+    first_cap = _FIRST_CAP.get(f, 0)
+    # capped families bound every partial degree of a part by its finished
+    # degrees; the others test the two finished ends of each edge
+    capped = wsr or semi or reg
+    counts = capped or first_cap > 0
+    if not capped:
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(edges):
+            incident[u].append((v, e))
+            incident[v].append((u, e))
+    # a part fails at a fresh finished degree once it holds this many (a
+    # semiregular part holding d and d + 1 admits no third)
+    most_distinct = 1 if reg else 2 if capped else m + 1
 
-    def degree_cap_ok(p: int, d: int) -> bool:
-        # a partial degree can only grow, so exceeding what the finished
-        # degrees of the part still allow is fatal
-        dc = dcnt[p]
-        if not dc:
-            return True
-        if wsr:
-            return len(dc) < 2 or d <= max(dc)
-        if semi:
-            return d <= min(dc) + 1
-        if reg:
-            return d <= next(iter(dc))
-        return True
+    deg = [[0] * n for _ in range(top)]      # deg[p][w]: degree of w in part p
+    cnt = [[0] * (m + 1) for _ in range(top)]  # cnt[p][d]: finished vertices of degree d in p
+    distinct = [0] * top                     # distinct finished degrees in p
+    lo = [0] * top                           # least and greatest of them
+    hi = [0] * top
+    cap = [m] * top                          # no partial degree in p may exceed cap[p]
+    same_ends = [0] * top                    # finished edges of p with equal end degrees
+    saved: list[tuple[int, int, int]] = []   # (lo, hi, cap) before each fresh degree
+    fin = [False] * n                        # finished vertices, read by the edge tests
+    part = [0] * m
 
-    def finish(w: int, trail: list) -> bool:
-        fin[w] = True
-        trail.append(("fin", w))
-        for p in range(k):
-            d = deg[w][p]
-            if d == 0:
-                continue
-            dc = dcnt[p]
-            fresh = d not in dc
-            if fresh:
-                if wsr and len(dc) >= 2:
-                    return False
-                if semi and dc and (d > min(dc) + 1 or d < max(dc) - 1):
-                    return False
-                if reg and dc:
-                    return False
-                if first_cap and len(dc) >= first_cap and not bad_first[p]:
-                    bad_first[p] = True
-                    trail.append(("first", p))
-            dc[d] = dc.get(d, 0) + 1
-            trail.append(("dc", p, d))
-        if local_edges:
-            for nbr, eid in incident[w]:
-                q = part[eid]
-                if q == -1 or not fin[nbr]:
-                    continue
-                same = deg[w][q] == deg[nbr][q]
-                if locreg and not same:
-                    return False
-                if locirr and same:
-                    return False
-                if first_cap and same and not bad_irr[q]:
-                    bad_irr[q] = True
-                    trail.append(("irr", q))
-        if first_cap:
+    def finish(w: int) -> bool:
+        """Marks w finished; False, with nothing changed, if a part breaks."""
+        if counts:
             for p in range(k):
-                if bad_first[p] and bad_irr[p]:
+                d = deg[p][w]
+                if d and not cnt[p][d]:
+                    if distinct[p] >= most_distinct:
+                        return False
+                    if semi and distinct[p] and (d > lo[p] + 1 or d < hi[p] - 1):
+                        return False
+        else:  # locally regular or locally irregular
+            for nbr, e in incident[w]:
+                if fin[nbr]:
+                    q = part[e]
+                    if (deg[q][w] == deg[q][nbr]) is locirr:
+                        return False
+        if not capped:
+            fin[w] = True
+        if counts:
+            for p in range(k):
+                d = deg[p][w]
+                if d:
+                    c = cnt[p]
+                    if not c[d]:
+                        distinct[p] += 1
+                        if capped:
+                            saved.append((lo[p], hi[p], cap[p]))
+                            if distinct[p] == 1:
+                                lo[p] = hi[p] = d
+                            elif d < lo[p]:
+                                lo[p] = d
+                            else:
+                                hi[p] = d
+                            # a partial degree only grows, so one above what
+                            # the finished degrees still allow is fatal
+                            if semi:
+                                cap[p] = lo[p] + 1
+                            elif reg:
+                                cap[p] = lo[p]
+                            elif distinct[p] == 2:
+                                cap[p] = hi[p]
+                    c[d] += 1
+        if first_cap:
+            for nbr, e in incident[w]:
+                if fin[nbr]:
+                    q = part[e]
+                    if deg[q][w] == deg[q][nbr]:
+                        same_ends[q] += 1
+            for p in range(k):
+                if same_ends[p] and distinct[p] > first_cap:
+                    unfinish(w)
                     return False
         return True
 
-    def undo(trail: list) -> None:
-        for op in reversed(trail):
-            tag = op[0]
-            if tag == "dc":
-                _, p, d = op
-                dc = dcnt[p]
-                if dc[d] == 1:
-                    del dc[d]
-                else:
-                    dc[d] -= 1
-            elif tag == "fin":
-                fin[op[1]] = False
-            elif tag == "first":
-                bad_first[op[1]] = False
-            else:
-                bad_irr[op[1]] = False
+    def unfinish(w: int) -> None:
+        """Undoes the last successful finish, which was of w."""
+        if first_cap:
+            for nbr, e in incident[w]:
+                if fin[nbr]:
+                    q = part[e]
+                    if deg[q][w] == deg[q][nbr]:
+                        same_ends[q] -= 1
+        if counts:
+            for p in range(k - 1, -1, -1):
+                d = deg[p][w]
+                if d:
+                    c = cnt[p]
+                    c[d] -= 1
+                    if not c[d]:
+                        distinct[p] -= 1
+                        if capped:
+                            lo[p], hi[p], cap[p] = saved.pop()
+        if not capped:
+            fin[w] = False
 
     def place(i: int, used: int) -> bool:
         if i == m:
             return used == k
         if m - i < k - used:
             return False
-        u, v = edges[i]
-        limit = used + 1 if used < k else k
-        for p in range(limit):
-            deg[u][p] += 1
-            deg[v][p] += 1
-            if degree_cap_ok(p, deg[u][p]) and degree_cap_ok(p, deg[v][p]):
+        u, v, u_ends, v_ends = steps[i]
+        for p in range(used + 1 if used < k else k):
+            dp = deg[p]
+            dp[u] += 1
+            dp[v] += 1
+            c = cap[p]
+            if dp[u] <= c and dp[v] <= c:
                 part[i] = p
-                trail: list = []
-                ok = True
-                if last[u] == i:
-                    ok = finish(u, trail)
-                if ok and last[v] == i:
-                    ok = finish(v, trail)
-                if ok and place(i + 1, max(used, p + 1)):
-                    return True
-                undo(trail)
-                part[i] = -1
-            deg[u][p] -= 1
-            deg[v][p] -= 1
+                if not u_ends or finish(u):
+                    if not v_ends or finish(v):
+                        if place(i + 1, used if p < used else p + 1):
+                            return True
+                        if v_ends:
+                            unfinish(v)
+                    if u_ends:
+                        unfinish(u)
+            dp[u] -= 1
+            dp[v] -= 1
         return False
 
-    if place(0, 0):
-        return list(part)
-    return None
+    try:
+        for k in range(1, top + 1):  # the part count the closures above read
+            if place(0, 0):
+                return k, tuple(part)
+        return None
+    finally:
+        # place calls itself through its own closure cell; without this the
+        # arrays would wait for the cycle collector
+        del place
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:

@@ -70,9 +70,14 @@ def rep_search(
         raise BudgetError("representation search supports n <= 8")
     if r_max > 10**4:
         raise BudgetError("representation search supports r_max <= 10^4")
-    adjacent = {(min(u, v), max(u, v)) for u, v in g.edges}
+    adj = [[False] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u][v] = adj[v][u] = True
 
     for r in range(max(2, g.n), r_max + 1):
+        # cop[x]: whether gcd(x, r) = 1; a negative difference x indexes
+        # cop[r + x], and gcd(r + x, r) = gcd(|x|, r)
+        cop = [math.gcd(x, r) == 1 for x in range(r)]
         labels = [-1] * g.n
         used = [False] * r
 
@@ -80,16 +85,14 @@ def rep_search(
             if i == g.n:
                 return True
             first = fix_first_label and i == 0
+            row = adj[i]
             for lab in range(1 if first else r):
                 if used[lab]:
                     continue
-                ok = True
                 for j in range(i):
-                    coprime = math.gcd(abs(lab - labels[j]), r) == 1
-                    if coprime != ((min(i, j), max(i, j)) in adjacent):
-                        ok = False
+                    if cop[lab - labels[j]] != row[j]:
                         break
-                if ok:
+                else:
                     labels[i] = lab
                     used[lab] = True
                     if place(i + 1):

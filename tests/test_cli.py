@@ -300,3 +300,97 @@ def test_tree_reports_match_recorded_digests(tmp_path, capsys, argv, tree, code,
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
     written = out_file.read_bytes() if out_file.exists() else None
     assert (written and hashlib.sha256(written).hexdigest()) == out_sha
+
+
+# SHA-256 of stdout and of the --out file (None: no file written) of
+# `semireg oracle`, recorded before the oracle search was prepared once per
+# graph and reused for every k; the witnesses must stay byte-identical.
+_ORACLE_GRAPHS = {
+    "star5": star(5),
+    "spider": Graph(6, ((0, 1), (1, 2), (2, 3), (0, 4), (0, 5))),
+    "k4": complete(4),
+    "c5": cycle(5),  # an odd cycle has no locally irregular split
+}
+_GOLDEN_ORACLE_RUNS = [
+    pytest.param(
+        _ORACLE_GRAPHS["star5"], "semiregular", 0,
+        "3abd3428c762a215ef082c3865e5987ea513d9f80ba55cc1ffc07ed59f3313b0",
+        "f3f1b6d905fae1eb22f5b33b077bd9f5d01b0439016d2755a8ccc02095ef83d6",
+        id="star5-semiregular",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["star5"], "mixed", 0,
+        "d8882545da62effe834319eba3619cae51fde72c4ea551e26413702f428af188",
+        "28a004f91a21449ad7dff4ee0b1f40bfbf1129a7ba14b4c19cb31499b98c3925",
+        id="star5-mixed",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["star5"], "locally-irregular", 0,
+        "a89c5cba94dcb7d2bbbea83fe3d2925406ba538e71deb2cce26cbdb1d2e13e3b",
+        "28a004f91a21449ad7dff4ee0b1f40bfbf1129a7ba14b4c19cb31499b98c3925",
+        id="star5-locally-irregular",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["spider"], "semiregular", 0,
+        "40c0c3969d7e7e9bc7f6f2949748d4d7600a24755b48fcb9503e5bd41d49121d",
+        "7007f57c7783414fc0c765856c662389e58f27340a19b87a4421cd8c5795093f",
+        id="spider-semiregular",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["spider"], "mixed", 0,
+        "1bddbb816f7a82467f81cefce41c2d2ed5f4a06722d7b83f5934dbd049f38f37",
+        "7007f57c7783414fc0c765856c662389e58f27340a19b87a4421cd8c5795093f",
+        id="spider-mixed",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["spider"], "locally-irregular", 0,
+        "24b939871c89393e5bf8b314d415d7a392d0ea7c8bfdd31c0e9c369d06e95605",
+        "fb866e085ce35fe7a73a6a2c542a6654efbcd2c047a6303edda79c2f22f45f58",
+        id="spider-locally-irregular",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["k4"], "semiregular", 0,
+        "a9a20348429ef97e34fadfd516e60e295fb466cd0b7321cdf207abdfb0d587c5",
+        "e0761416fd5539e592fe991abd697f8679212b73e38c3009a619102c7fedea68",
+        id="k4-semiregular",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["k4"], "mixed", 0,
+        "dcd33113a1dfd217691fb19e7ada5d8045359b0e7489344512e065ad91cbd805",
+        "e0761416fd5539e592fe991abd697f8679212b73e38c3009a619102c7fedea68",
+        id="k4-mixed",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["k4"], "locally-irregular", 0,
+        "ee13f3264151385e049dbf7b91506b3baf1ac0ea2ba6cbb53d2b768a9e251c97",
+        "378314a14038cee8a449df93817644f520630570b7124f0aa735af4eef6dc760",
+        id="k4-locally-irregular",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["c5"], "semiregular", 0,
+        "2a73c23c9f118d3dda4ed52830d9e3c0508f4a9ab062a70eeb42c51b473636e8",
+        "28a004f91a21449ad7dff4ee0b1f40bfbf1129a7ba14b4c19cb31499b98c3925",
+        id="c5-semiregular",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["c5"], "mixed", 0,
+        "3f4316a5a8aae38b234da5cf49fea0f88db923d60295ed0d027b9e942b9a8a55",
+        "28a004f91a21449ad7dff4ee0b1f40bfbf1129a7ba14b4c19cb31499b98c3925",
+        id="c5-mixed",
+    ),
+    pytest.param(
+        _ORACLE_GRAPHS["c5"], "locally-irregular", 1,
+        "06f1c27c278208c1a3ed41071145ca75b94dc9ac1e56676ab64e634cdf598aba",None,
+        id="c5-locally-irregular",
+    ),
+]
+
+
+@pytest.mark.parametrize("graph,family,code,stdout_sha,out_sha", _GOLDEN_ORACLE_RUNS)
+def test_oracle_reports_match_recorded_digests(tmp_path, capsys, graph, family, code, stdout_sha, out_sha):
+    gfile = _write_graph(tmp_path, graph)
+    out_file = tmp_path / "out.txt"
+    assert run(["oracle", gfile, "--family", family, "--out", str(out_file)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    written = out_file.read_bytes() if out_file.exists() else None
+    assert (written and hashlib.sha256(written).hexdigest()) == out_sha

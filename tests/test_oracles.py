@@ -1,4 +1,5 @@
 import random
+from typing import Optional
 
 import pytest
 
@@ -19,7 +20,7 @@ from semireg import (
     verify_partition,
     wr_lower_bound,
 )
-from helpers import random_simple_graph
+from helpers import random_simple_graph, random_tree
 
 
 def test_examples():
@@ -132,3 +133,238 @@ def test_enumerate_trees():
 def test_empty_graph_needs_no_parts():
     got = oracle_min_parts(Graph(3, ()), Family.WEAKLY_SEMIREGULAR)
     assert got is not None and got[0] == 0
+
+
+# The search as it stood before it was prepared once per graph and reused
+# for every k, kept verbatim: every k and witness must stay the same.
+def _reference_search_exact(g: Graph, f: Family, k: int) -> Optional[list[int]]:
+    """First canonical assignment onto exactly k nonempty valid parts."""
+    m, n = g.m, g.n
+    edges = g.edges
+    last = [-1] * n
+    for e, (u, v) in enumerate(edges):
+        last[u] = e
+        last[v] = e
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        incident[u].append((v, e))
+        incident[v].append((u, e))
+
+    deg = [[0] * k for _ in range(n)]
+    fin = [False] * n
+    dcnt: list[dict[int, int]] = [{} for _ in range(k)]
+    bad_first = [False] * k   # regular (or weakly semiregular, for mixed) disqualified
+    bad_irr = [False] * k     # locally irregular disqualified
+    part = [-1] * m
+
+    wsr = f is Family.WEAKLY_SEMIREGULAR
+    semi = f is Family.SEMIREGULAR
+    reg = f is Family.REGULAR
+    locreg = f is Family.LOCALLY_REGULAR
+    locirr = f is Family.LOCALLY_IRREGULAR
+    # the two "first family or locally irregular" families: a part leaves
+    # the first family at its (first_cap + 1)-th distinct finished degree
+    first_cap = {Family.REGULAR_OR_LOCALLY_IRREGULAR: 1, Family.MIXED: 2}.get(f, 0)
+    local_edges = locreg or locirr or first_cap > 0
+
+    def degree_cap_ok(p: int, d: int) -> bool:
+        # a partial degree can only grow, so exceeding what the finished
+        # degrees of the part still allow is fatal
+        dc = dcnt[p]
+        if not dc:
+            return True
+        if wsr:
+            return len(dc) < 2 or d <= max(dc)
+        if semi:
+            return d <= min(dc) + 1
+        if reg:
+            return d <= next(iter(dc))
+        return True
+
+    def finish(w: int, trail: list) -> bool:
+        fin[w] = True
+        trail.append(("fin", w))
+        for p in range(k):
+            d = deg[w][p]
+            if d == 0:
+                continue
+            dc = dcnt[p]
+            fresh = d not in dc
+            if fresh:
+                if wsr and len(dc) >= 2:
+                    return False
+                if semi and dc and (d > min(dc) + 1 or d < max(dc) - 1):
+                    return False
+                if reg and dc:
+                    return False
+                if first_cap and len(dc) >= first_cap and not bad_first[p]:
+                    bad_first[p] = True
+                    trail.append(("first", p))
+            dc[d] = dc.get(d, 0) + 1
+            trail.append(("dc", p, d))
+        if local_edges:
+            for nbr, eid in incident[w]:
+                q = part[eid]
+                if q == -1 or not fin[nbr]:
+                    continue
+                same = deg[w][q] == deg[nbr][q]
+                if locreg and not same:
+                    return False
+                if locirr and same:
+                    return False
+                if first_cap and same and not bad_irr[q]:
+                    bad_irr[q] = True
+                    trail.append(("irr", q))
+        if first_cap:
+            for p in range(k):
+                if bad_first[p] and bad_irr[p]:
+                    return False
+        return True
+
+    def undo(trail: list) -> None:
+        for op in reversed(trail):
+            tag = op[0]
+            if tag == "dc":
+                _, p, d = op
+                dc = dcnt[p]
+                if dc[d] == 1:
+                    del dc[d]
+                else:
+                    dc[d] -= 1
+            elif tag == "fin":
+                fin[op[1]] = False
+            elif tag == "first":
+                bad_first[op[1]] = False
+            else:
+                bad_irr[op[1]] = False
+
+    def place(i: int, used: int) -> bool:
+        if i == m:
+            return used == k
+        if m - i < k - used:
+            return False
+        u, v = edges[i]
+        limit = used + 1 if used < k else k
+        for p in range(limit):
+            deg[u][p] += 1
+            deg[v][p] += 1
+            if degree_cap_ok(p, deg[u][p]) and degree_cap_ok(p, deg[v][p]):
+                part[i] = p
+                trail: list = []
+                ok = True
+                if last[u] == i:
+                    ok = finish(u, trail)
+                if ok and last[v] == i:
+                    ok = finish(v, trail)
+                if ok and place(i + 1, max(used, p + 1)):
+                    return True
+                undo(trail)
+                part[i] = -1
+            deg[u][p] -= 1
+            deg[v][p] -= 1
+        return False
+
+    if place(0, 0):
+        return list(part)
+    return None
+
+
+def _reference_min_parts(g, f, budget):
+    if g.m == 0:
+        return 0, ()
+    for k in range(1, min(budget.max_parts, g.m) + 1):
+        found = _reference_search_exact(g, f, k)
+        if found is not None:
+            return k, tuple(found)
+    return None
+
+
+def _min_parts(g, f, budget):
+    got = oracle_min_parts(g, f, budget)
+    return None if got is None else (got[0], got[1].part)
+
+
+def _random_multigraph(rng):
+    """3-7 vertices, up to 12 edges, parallel edges allowed.  Two vertices
+    are left out: a bundle of 10-12 parallel edges has no locally irregular
+    split, and proving that walks the whole search tree (seconds a graph)."""
+    n = rng.randrange(3, 8)
+    edges = []
+    for _ in range(rng.randrange(1, 13)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    return Graph(n, tuple(edges))
+
+
+def _connected_graph(rng):
+    """7-9 vertices, 12-14 edges, maximum degree at most 6: a random tree
+    plus random new edges."""
+    while True:
+        n = rng.randint(7, 9)
+        m = rng.randint(12, 14)
+        edges = list(random_tree(n, rng).edges)
+        have = {(min(u, v), max(u, v)) for u, v in edges}
+        while len(edges) < m:
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in have:
+                have.add((u, v))
+                edges.append((u, v))
+        g = Graph(n, tuple(edges))
+        if max(g.degrees()) <= 6:
+            return g
+
+
+def test_witnesses_match_reference_on_small_trees():
+    budget = OracleBudget(max_edges=8, max_parts=3)
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            for fam in Family:
+                assert _min_parts(t, fam, budget) == _reference_min_parts(t, fam, budget), (fam, t.edges)
+
+
+def test_witnesses_match_reference_on_multigraphs():
+    rng = random.Random(233)
+    budget = OracleBudget(max_edges=12, max_parts=4)
+    for _ in range(300):
+        g = _random_multigraph(rng)
+        for fam in Family:
+            assert _min_parts(g, fam, budget) == _reference_min_parts(g, fam, budget), (fam, g)
+
+
+def test_witnesses_match_reference_on_connected_graphs():
+    rng = random.Random(239)
+    budget = OracleBudget()
+    families = (Family.SEMIREGULAR, Family.LOCALLY_IRREGULAR,
+                Family.REGULAR_OR_LOCALLY_IRREGULAR, Family.MIXED)
+    for _ in range(50):
+        g = _connected_graph(rng)
+        for fam in families:
+            assert _min_parts(g, fam, None) == _reference_min_parts(g, fam, budget), (fam, g)
+
+
+# The last six are small inputs on which a search that kept some state from
+# a failed smaller k (degree bounds, finished vertices, equal-degree edges)
+# returns a different k or witness.
+@pytest.mark.parametrize(
+    "g,fam,max_parts,expected_k",
+    [
+        (star(5), Family.SEMIREGULAR, 4, 3),        # k = 1 and k = 2 fail first
+        (path(2), Family.LOCALLY_IRREGULAR, 3, None),  # max_parts above m
+        (star(3), Family.REGULAR, 5, 3),            # needs every k up to m
+        (star(3), Family.REGULAR, 2, None),
+        (Graph(6, ((0, 4), (1, 5), (2, 5), (3, 5), (4, 5))), Family.WEAKLY_SEMIREGULAR, 4, 2),
+        (Graph(5, ((0, 3), (0, 4), (1, 4), (2, 4), (3, 4))), Family.REGULAR, 4, 3),
+        (Graph(5, ((3, 0), (0, 1), (1, 2), (2, 4))), Family.LOCALLY_IRREGULAR, 4, 2),
+        (Graph(5, ((2, 0), (0, 4), (3, 1), (1, 4))), Family.REGULAR_OR_LOCALLY_IRREGULAR, 4, 2),
+        (Graph(4, ((0, 2), (0, 3), (1, 3), (2, 3))), Family.LOCALLY_REGULAR, 4, 2),
+        (Graph(6, ((2, 0), (3, 0), (0, 1), (4, 1), (1, 5))), Family.REGULAR_OR_LOCALLY_IRREGULAR, 4, 2),
+    ],
+)
+def test_search_state_is_reused_across_k_and_calls(g, fam, max_parts, expected_k):
+    budget = OracleBudget(max_edges=8, max_parts=max_parts)
+    first = _min_parts(g, fam, budget)
+    assert (None if first is None else first[0]) == expected_k
+    assert first == _reference_min_parts(g, fam, budget)
+    for other in Family:  # other families in between share nothing
+        _min_parts(g, other, budget)
+    assert _min_parts(g, fam, budget) == first

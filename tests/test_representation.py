@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from typing import Optional
 
 import pytest
 
@@ -71,6 +73,60 @@ def test_fixing_the_first_label_loses_nothing():
         assert (fixed is None) == (free is None)
         if fixed is not None:
             assert fixed.r == free.r
+
+
+# The search as it stood with a gcd call and a pair lookup per label pair,
+# kept verbatim: the least modulus and its labels must stay the same.
+def _reference_rep_search(
+    g: Graph, r_max: int, fix_first_label: bool = True
+) -> Optional[Representation]:
+    adjacent = {(min(u, v), max(u, v)) for u, v in g.edges}
+
+    for r in range(max(2, g.n), r_max + 1):
+        labels = [-1] * g.n
+        used = [False] * r
+
+        def place(i: int) -> bool:
+            if i == g.n:
+                return True
+            first = fix_first_label and i == 0
+            for lab in range(1 if first else r):
+                if used[lab]:
+                    continue
+                ok = True
+                for j in range(i):
+                    coprime = math.gcd(abs(lab - labels[j]), r) == 1
+                    if coprime != ((min(i, j), max(i, j)) in adjacent):
+                        ok = False
+                        break
+                if ok:
+                    labels[i] = lab
+                    used[lab] = True
+                    if place(i + 1):
+                        return True
+                    used[lab] = False
+                    labels[i] = -1
+            return False
+
+        if place(0):
+            return Representation(r, tuple(labels))
+    return None
+
+
+def test_rep_search_matches_reference():
+    # r_max = 16 reaches every least modulus of a 4-vertex graph (4 to 15)
+    # and leaves some graphs without one
+    pairs = list(itertools.combinations(range(4), 2))
+    graphs = [Graph(4, tuple(p for p, take in zip(pairs, picks) if take))
+              for picks in itertools.product((0, 1), repeat=len(pairs))]
+    rng = random.Random(241)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        graphs.append(Graph(n, tuple(p for p in itertools.combinations(range(n), 2)
+                                     if rng.random() < 0.5)))
+    for g in graphs:
+        for fix in (True, False):
+            assert rep_search(g, 16, fix) == _reference_rep_search(g, 16, fix), (g, fix)
 
 
 def test_next_prime():
