@@ -1,16 +1,19 @@
 """Command-line interface.
 
 Every decomposition command re-verifies its own output with the partition
-verifier before printing; a failed re-verification is a hard error (exit
-4).  Results go to stdout as a short human line plus a machine-readable
-block of "key: value" lines in a fixed order, so identical inputs give
-byte-identical output; wall-clock timing goes to stderr only.
+verifier; a failed re-verification is a hard error (exit 4).  Each
+subcommand returns a ``RunReport``, and ``run`` alone writes ``--out``,
+prints and picks the exit code.  Results go to stdout as a short human
+line plus a machine-readable block of "key: value" lines in a fixed order,
+so identical inputs give byte-identical output; wall-clock timing goes to
+stderr only.
 
 Exit codes: 0 success, 1 negative decision (NO / UNSAT / not found),
-2 input error, 3 budget error, 4 failed self-verification, 5 internal
-error (any other exception; the traceback goes to stderr).  An input
-whose sizes outgrow memory (a header naming 10^12 vertices, say) raises
-MemoryError, which is an input error: exit 2, no traceback.
+2 input error, 3 budget error, 4 failed self-verification (any report
+saying "verified: false"), 5 internal error (any other exception; the
+traceback goes to stderr).  An unreadable input, an unwritable ``--out``
+and an input whose sizes outgrow memory (a header naming 10^12 vertices,
+say) are input errors: exit 2, no traceback, nothing on stdout.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import coloring, families, oracles, reductions, representation, trees
-from .errors import BudgetError, GadgetError, ParseError
+from .errors import BudgetError, ParseError
 from .families import EdgePartition, Family
 from .graph import Graph, parse_graph, serialize_graph
 
@@ -38,9 +41,16 @@ _FAMILIES = {f.value: f for f in Family}
 
 @dataclass
 class RunReport:
+    """What a subcommand hands to ``run``: the human headline (None: no
+    line), the text for ``--out`` (None: nothing to write), the report
+    block and the exit code."""
+
     command: str
     input_digest: str
     fields: list[tuple[str, str]] = field(default_factory=list)
+    headline: str | None = None
+    out: str | None = None
+    code: int = EXIT_OK
 
     def add(self, key: str, value) -> None:
         self.fields.append((key, str(value)))
@@ -73,59 +83,45 @@ def _load_graph(path: str) -> tuple[Graph, str]:
     return parse_graph(text), _digest(text)
 
 
-def _write_out(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _verified(report: RunReport, ok: bool) -> int:
+    """Adds the ``verified`` line; returns the exit code it gives."""
+    report.add("verified", "true" if ok else "false")
+    return EXIT_OK if ok else EXIT_UNVERIFIED
 
 
-def _partition_summary(report: RunReport, g: Graph, p: EdgePartition, fam: Family) -> tuple[bool, int]:
-    """Adds the partition lines to the report; returns whether the partition
-    verified and its nonempty part count, both from one count of part sizes."""
-    verified = families.verify_partition(g, p, fam)
+def _partition_summary(report: RunReport, g: Graph, p: EdgePartition, fam: Family, headline: str) -> int:
+    """Adds the partition lines, ``headline`` formatted with the nonempty
+    part count and the partition as ``--out`` text to the report; returns
+    the exit code that re-verification gives."""
     sizes = p.part_sizes()
     nonempty = len(sizes) - sizes.count(0)
     report.add("parts", p.k)
     report.add("nonempty-parts", nonempty)
     report.add("part-sizes", " ".join(map(str, sizes)))
-    report.add("verified", "true" if verified else "false")
-    return verified, nonempty
-
-
-def _finish_partition(
-    args, report: RunReport, g: Graph, p: EdgePartition, fam: Family, headline: str
-) -> int:
-    """Prints ``headline``, formatted with the nonempty part count, then
-    writes the partition to ``--out`` and emits the report."""
-    verified, nonempty = _partition_summary(report, g, p, fam)
-    print(headline.format(nonempty))
-    _write_out(getattr(args, "out", None), families.serialize_partition(p))
-    report.emit()
-    if not verified:
-        print("internal error: produced partition failed re-verification", file=sys.stderr)
-        return EXIT_UNVERIFIED
-    return EXIT_OK
+    report.headline = headline.format(nonempty)
+    report.out = families.serialize_partition(p)
+    return _verified(report, families.verify_partition(g, p, fam))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args) -> RunReport:
     g, digest = _load_graph(args.graph)
     if args.decision == "wr2-tree":
         witness = trees.wr2_tree(g)
-        label = "decide wr2-tree"
+        report = RunReport("decide wr2-tree", digest)
     else:
         witness = trees.wrc_tree(g, args.c)
-        label = f"decide wrc-tree c={args.c}"
-    report = RunReport(label, digest)
+        report = RunReport(f"decide wrc-tree c={args.c}", digest)
     if witness is None:
         report.add("decision", "NO")
-        report.emit()
-        return EXIT_NO
+        report.code = EXIT_NO
+        return report
     report.add("decision", "YES")
-    return _finish_partition(args, report, g, witness, Family.WEAKLY_SEMIREGULAR, "YES")
+    report.code = _partition_summary(report, g, witness, Family.WEAKLY_SEMIREGULAR, "YES")
+    return report
 
 
 _METHODS = {
@@ -136,16 +132,17 @@ _METHODS = {
 }
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> RunReport:
     g, digest = _load_graph(args.graph)
     fn, fam = _METHODS[args.method]
     p = fn(g)
     report = RunReport(f"decompose {args.method}", digest)
     report.add("family", fam.value)
-    return _finish_partition(args, report, g, p, fam, "decomposed into {} nonempty part(s)")
+    report.code = _partition_summary(report, g, p, fam, "decomposed into {} nonempty part(s)")
+    return report
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> RunReport:
     g, digest = _load_graph(args.graph)
     budget = oracles.OracleBudget(max_edges=args.max_edges, max_parts=args.max_parts)
     fam = _FAMILIES[args.family]
@@ -153,65 +150,59 @@ def _cmd_oracle(args) -> int:
     report = RunReport(f"oracle {args.family}", digest)
     if result is None:
         report.add("min-parts", f"> {args.max_parts}")
-        report.emit()
-        return EXIT_NO
+        report.code = EXIT_NO
+        return report
     k, witness = result
     report.add("min-parts", k)
     if k > 0:
-        verified, _ = _partition_summary(report, g, witness, fam)
-    else:
-        verified = True
+        report.code = _partition_summary(report, g, witness, fam, f"minimum parts: {k}")
+    else:  # no edges: an empty partition, nothing to verify
         report.add("parts", k)
-    print(f"minimum parts: {k}")
-    _write_out(args.out, families.serialize_partition(witness))
-    report.emit()
-    return EXIT_OK if verified else EXIT_UNVERIFIED
+        report.headline = f"minimum parts: {k}"
+        report.out = families.serialize_partition(witness)
+    return report
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> RunReport:
     g, digest = _load_graph(args.graph)
     p = families.parse_partition(_read_text(args.partition))
     ok = families.verify_partition(g, p, _FAMILIES[args.family])
     report = RunReport(f"verify {args.family}", digest)
     report.add("parts", p.k)
     report.add("valid", "true" if ok else "false")
-    print("valid" if ok else "invalid")
-    report.emit()
-    return EXIT_OK if ok else EXIT_NO
+    report.headline = "valid" if ok else "invalid"
+    report.code = EXIT_OK if ok else EXIT_NO
+    return report
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> RunReport:
     text = _read_text(args.input)
-    digest = _digest(text)
-    report = RunReport(f"reduce {args.variant}", digest)
+    report = RunReport(f"reduce {args.variant}", _digest(text))
     if args.variant == "thm4":
-        g = parse_graph(text)
-        out = reductions.widen_degree_set(g)
-        report.add("vertices", out.n)
-        report.add("edges", out.m)
-        report.add("degree-set", " ".join(str(d) for d in sorted(set(out.degrees()))))
-        report.add("wr-lower-bound", families.wr_lower_bound(out))
-        _write_out(args.out, serialize_graph(out))
-        print(f"built instance with {out.n} vertices")
-        report.emit()
-        return EXIT_OK
-    if not args.gadgets:
-        raise ParseError("gadget reductions need --gadgets DIR")
-    formula = reductions.parse_nae(text)
-    gadgets = reductions.load_gadget_set(args.gadgets, args.variant)
-    result = reductions.build_reduction(formula, gadgets, args.variant)
-    report.add("vertices", result.graph.n)
-    report.add("edges", result.graph.m)
-    report.add("degree-set", " ".join(str(d) for d in sorted(set(result.graph.degrees()))))
-    report.add("variables", " ".join(str(v) for v in result.variable_vertices))
-    report.add("clause-ports", " ".join(str(v) for v in result.clause_ports))
-    _write_out(args.out, serialize_graph(result.graph))
-    print(f"built instance with {result.graph.n} vertices")
-    report.emit()
-    return EXIT_OK
+        built = reductions.widen_degree_set(parse_graph(text))
+        extra = [("wr-lower-bound", families.wr_lower_bound(built))]
+    else:
+        if not args.gadgets:
+            raise ParseError("gadget reductions need --gadgets DIR")
+        formula = reductions.parse_nae(text)
+        gadgets = reductions.load_gadget_set(args.gadgets, args.variant)
+        result = reductions.build_reduction(formula, gadgets, args.variant)
+        built = result.graph
+        extra = [
+            ("variables", " ".join(str(v) for v in result.variable_vertices)),
+            ("clause-ports", " ".join(str(v) for v in result.clause_ports)),
+        ]
+    report.add("vertices", built.n)
+    report.add("edges", built.m)
+    report.add("degree-set", " ".join(str(d) for d in sorted(set(built.degrees()))))
+    for key, value in extra:
+        report.add(key, value)
+    report.headline = f"built instance with {built.n} vertices"
+    report.out = serialize_graph(built)
+    return report
 
 
-def _cmd_nae(args) -> int:
+def _cmd_nae(args) -> RunReport:
     text = _read_text(args.formula)
     formula = reductions.parse_nae(text)
     assignment = reductions.nae_bruteforce(formula)
@@ -221,53 +212,46 @@ def _cmd_nae(args) -> int:
     report.add("cubic-monotone", "true" if formula.is_cubic_monotone else "false")
     if assignment is None:
         report.add("result", "UNSAT")
-        print("UNSAT")
-        report.emit()
-        return EXIT_NO
+        report.headline = "UNSAT"
+        report.code = EXIT_NO
+        return report
     report.add("result", "SAT")
     report.add("assignment", " ".join("1" if b else "0" for b in assignment))
-    print("SAT")
-    report.emit()
-    return EXIT_OK
+    report.headline = "SAT"
+    return report
 
 
-def _cmd_rep(args) -> int:
+def _cmd_rep(args) -> RunReport:
     g, digest = _load_graph(args.graph)
+    report = RunReport(f"rep {args.action}", digest)
     if args.action == "verify":
         rep = representation.parse_representation(_read_text(args.rep))
         ok = representation.verify_representation(g, rep)
-        report = RunReport("rep verify", digest)
         report.add("r", rep.r)
         report.add("valid", "true" if ok else "false")
-        print("valid" if ok else "invalid")
-        report.emit()
-        return EXIT_OK if ok else EXIT_NO
-    if args.action == "search":
+        report.headline = "valid" if ok else "invalid"
+        report.code = EXIT_OK if ok else EXIT_NO
+    elif args.action == "search":
         found = representation.rep_search(g, args.r_max)
-        report = RunReport("rep search", digest)
         if found is None:
             report.add("result", f"not-found <= {args.r_max}")
-            print("not found")
-            report.emit()
-            return EXIT_NO
+            report.headline = "not found"
+            report.code = EXIT_NO
+            return report
         report.add("r", found.r)
         report.add("labels", " ".join(str(x) for x in found.labels))
-        report.add("verified", "true" if representation.verify_representation(g, found) else "false")
-        print(f"rep = {found.r}")
-        report.emit()
-        return EXIT_OK
-    rep, plan = representation.rep_construct(g)
-    verified = representation.verify_representation(g, rep)
-    report = RunReport("rep construct", digest)
-    report.add("r", rep.r)
-    report.add("primes", " ".join(str(p) for p in plan.primes))
-    report.add("matching-sizes", " ".join(str(len(mm)) for mm in plan.matchings))
-    report.add("labels", " ".join(str(x) for x in rep.labels))
-    report.add("verified", "true" if verified else "false")
-    _write_out(args.out, representation.serialize_representation(rep, plan))
-    print(f"r = {rep.r}")
-    report.emit()
-    return EXIT_OK if verified else EXIT_UNVERIFIED
+        report.code = _verified(report, representation.verify_representation(g, found))
+        report.headline = f"rep = {found.r}"
+    else:
+        rep, plan = representation.rep_construct(g)
+        report.add("r", rep.r)
+        report.add("primes", " ".join(str(p) for p in plan.primes))
+        report.add("matching-sizes", " ".join(str(len(mm)) for mm in plan.matchings))
+        report.add("labels", " ".join(str(x) for x in rep.labels))
+        report.code = _verified(report, representation.verify_representation(g, rep))
+        report.headline = f"r = {rep.r}"
+        report.out = representation.serialize_representation(rep, plan)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +335,24 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.fn(args)
+        report = args.fn(args)
+        path = getattr(args, "out", None)
+        if path and report.out is not None:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(report.out)
+            except OSError as exc:
+                raise ParseError(f"cannot write {path}: {exc}") from None
+        if report.headline is not None:
+            print(report.headline)
+        report.emit()
+        if report.code == EXIT_UNVERIFIED:
+            print("internal error: output failed re-verification", file=sys.stderr)
+        return report.code
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, GadgetError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError and GadgetError included
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:
@@ -373,7 +367,6 @@ def run(argv: list[str]) -> int:
     finally:
         elapsed = (time.perf_counter() - start) * 1000
         print(f"elapsed: {elapsed:.1f} ms", file=sys.stderr)
-    return code
 
 
 def main() -> None:

@@ -101,8 +101,11 @@ def rep_search(
                     labels[i] = -1
             return False
 
-        if place(0):
-            return Representation(r, tuple(labels))
+        try:
+            if place(0):
+                return Representation(r, tuple(labels))
+        finally:
+            del place  # place refers to itself through its closure cell: a cycle
     return None
 
 

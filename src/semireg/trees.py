@@ -112,10 +112,13 @@ def _assign_exact(slots: int, forbidden: Sequence[Collection[int]], capacity: li
                     return True
         return False
 
-    for slot in range(slots):
-        if not place(slot, set()):
-            return None
-    return color_of
+    try:
+        for slot in range(slots):
+            if not place(slot, set()):
+                return None
+        return color_of
+    finally:
+        del place  # place refers to itself through its closure cell: a cycle
 
 
 def _require_rooted(t: Graph | RootedTree) -> RootedTree:

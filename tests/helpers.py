@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import deque
 
 from semireg import Graph, decode_tree
+
+
+def cyclic_garbage(call) -> int:
+    """Objects the cycle collector finds after ``call()``, with automatic
+    collection held off while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def petersen() -> Graph:

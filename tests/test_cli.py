@@ -7,6 +7,7 @@ import pytest
 from semireg import (
     Family,
     Graph,
+    complement,
     complete,
     cycle,
     parse_graph,
@@ -19,9 +20,12 @@ from semireg import cli
 from semireg.cli import run
 from helpers import (
     make_degree_tree,
+    petersen,
     planted_tree,
     random_bounded_tree,
+    random_deg4_graph,
     random_hub_tree,
+    random_simple_graph,
     random_tree,
 )
 
@@ -228,6 +232,37 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+@pytest.mark.parametrize("target", ["no/such/dir/parts.txt", "."])
+def test_unwritable_out_is_input_error(tmp_path, capsys, target):
+    gfile = _write_graph(tmp_path, star(5))
+    out_path = str(tmp_path / target)
+    assert run(["decompose", gfile, "--method", "sr-tree", "--out", out_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: cannot write {out_path}: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "module,name,argv,graph",
+    [
+        pytest.param("families", "verify_partition", ["decide", "wr2-tree"], path(5), id="decide"),
+        pytest.param("families", "verify_partition", ["decompose", "--method", "sr-tree"], star(5), id="decompose"),
+        pytest.param("families", "verify_partition", ["oracle", "--family", "semiregular"], star(5), id="oracle"),
+        pytest.param("representation", "verify_representation", ["rep", "search"], complete(2), id="rep-search"),
+        pytest.param("representation", "verify_representation", ["rep", "construct"], cycle(5), id="rep-construct"),
+    ],
+)
+def test_failed_reverification_exits_4(tmp_path, capsys, monkeypatch, module, name, argv, graph):
+    monkeypatch.setattr(getattr(cli, module), name, lambda *args: False)
+    gfile = _write_graph(tmp_path, graph)
+    assert run([*argv, gfile]) == 4
+    captured = capsys.readouterr()
+    assert "verified: false" in captured.out.splitlines()
+    err = [line for line in captured.err.splitlines() if not line.startswith("elapsed: ")]
+    assert err == ["internal error: output failed re-verification"]
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     gfile = _write_graph(tmp_path, star(5))
     assert run(["decompose", gfile, "--method", "sr-tree"]) == 0
@@ -392,5 +427,110 @@ def test_oracle_reports_match_recorded_digests(tmp_path, capsys, graph, family, 
     out_file = tmp_path / "out.txt"
     assert run(["oracle", gfile, "--family", family, "--out", str(out_file)]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    written = out_file.read_bytes() if out_file.exists() else None
+    assert (written and hashlib.sha256(written).hexdigest()) == out_sha
+
+
+# SHA-256 of stdout and of the --out file (None: no file written) of the
+# commands the two tables above leave out, recorded before the subcommands
+# returned their reports to `run`; stdout and --out must stay byte-identical.
+# In argv, "{name}" is the path of input file `name` and "{out}" the --out path.
+_GOLDEN_CLI_RUNS = [
+    pytest.param(
+        ["decompose", "{g}", "--method", "sr-general", "--out", "{out}"],
+        lambda: {"g": serialize_graph(random_simple_graph(12, 30, random.Random(21)))}, 0,
+        "925ffe9cd9a21f2eda39a8e77e0264997868d533247c98d289754f6ab650cc7f",
+        "420f22f46afb7c63178940480e50c27b7ad9f99c37317ecc838b1095c4092393",
+        id="decompose-sr-general",
+    ),
+    pytest.param(
+        ["decompose", "{g}", "--method", "wr2-deg4", "--out", "{out}"],
+        lambda: {"g": serialize_graph(random_deg4_graph(40, random.Random(22)))}, 0,
+        "578bd9957c0a79d609e941e0d7ba2f0db752102193501833e2bcfd499dd0fb77",
+        "5b9e8958ef4c4a63fd747d92f8a987f3e476bed011866dbfcaaa941ce7350e2d",
+        id="decompose-wr2-deg4",
+    ),
+    pytest.param(  # two perfect matchings of a 6-cycle
+        ["verify", "{g}", "--family", "regular", "--partition", "{p}"],
+        lambda: {"g": serialize_graph(cycle(6)), "p": "2 6\n0 0\n1 1\n2 0\n3 1\n4 0\n5 1\n"}, 0,
+        "063d05f2ba38c152d524fe097cf6621c98c909dba7c1b00a5303a2c322261db3", None,
+        id="verify-valid",
+    ),
+    pytest.param(  # a 2-edge star is not regular
+        ["verify", "{g}", "--family", "regular", "--partition", "{p}"],
+        lambda: {"g": serialize_graph(star(3)), "p": "2 3\n0 0\n1 0\n2 1\n"}, 1,
+        "70ded38f05951f8b5f5beb8c445604cdf340601f4453b43210c21163028c2d79", None,
+        id="verify-invalid",
+    ),
+    pytest.param(
+        ["decide", "wrc-tree", "{g}", "--c", "3", "--out", "{out}"],
+        lambda: {"g": serialize_graph(random_tree(40, random.Random(23)))}, 0,
+        "edeb1b103cb18b1c4ad2a2bceea61e1beaeb8ec64bf543a475dc0a5dd23b3707",
+        "f4b995e9bf6eec05c2467506901244d90cbd04b55138024344304618dbfde5c5",
+        id="wrc-tree-yes",
+    ),
+    pytest.param(
+        ["decide", "wrc-tree", "{g}", "--c", "2", "--out", "{out}"],
+        lambda: {"g": serialize_graph(make_degree_tree(8))}, 1,
+        "3ca6221b5c1f620ba9bd3c695bfc855478e933cd2d864d781207e69e66672309", None,
+        id="wrc-tree-no",
+    ),
+    pytest.param(
+        ["reduce", "{g}", "--variant", "thm4", "--out", "{out}"],
+        lambda: {"g": serialize_graph(petersen())}, 0,
+        "5e8260598033ec5683540211aa72001311eaada99b583a0a1f2f2193ce2a33af",
+        "8c89ceaecb19ae51559fc6639dd714e8fe1482846fc0a56f28271a34e4d4b865",
+        id="reduce-thm4",
+    ),
+    pytest.param(
+        ["reduce", "{f}", "--variant", "thm2", "--gadgets", os.path.join(GADGETS_DIR, "thm2"), "--out", "{out}"],
+        lambda: {"f": "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"}, 0,
+        "6a59bf6fb3f97e281b6d7efe942e62c1f59fb7d2db56524825a93dec4b1e3dba",
+        "27828f9f5ad9a26c2cad9fdb2ef79766f767cbd6f2ab2981a053db1f8b415012",
+        id="reduce-thm2",
+    ),
+    pytest.param(
+        ["nae", "solve", "{f}"],
+        lambda: {"f": "0 1 2\n1 2 3\n0 2 3\n"}, 0,
+        "e86f74263dc20fb43ebb6e8f5f0aaf5228ad68dbe990b40c7bd0642ac085d45d", None,
+        id="nae-sat",
+    ),
+    pytest.param(  # the clause "0 0" can never hold two different values
+        ["nae", "solve", "{f}"],
+        lambda: {"f": "0 1\n0 0\n"}, 1,
+        "28d365026e1b15e149706056c4687bb83bc4a47227a5ef19ff2a93d11d3a28ba", None,
+        id="nae-unsat",
+    ),
+    pytest.param(
+        ["rep", "search", "{g}"],
+        lambda: {"g": serialize_graph(random_simple_graph(6, 8, random.Random(25)))}, 0,
+        "6c56d7218309b85625702d32cfcd53911e20deca113bd84644061fb698522a19", None,
+        id="rep-search",
+    ),
+    pytest.param(  # the complement is a 7-cycle: triangle-free and regular
+        ["rep", "construct", "{g}", "--out", "{out}"],
+        lambda: {"g": serialize_graph(complement(cycle(7)))}, 0,
+        "dff980079e9161854a11d30d4ccc532c3e8e6b9c7d790d39c70456e85fc0a733",
+        "3cd729433a1c2ea5f3503ce32ce499e95899d36a21d824c146d142e5ab249c72",
+        id="rep-construct",
+    ),
+    pytest.param(
+        ["rep", "verify", "{g}", "--rep", "{r}"],
+        lambda: {"g": serialize_graph(complete(3)), "r": "r 3\nlabels 0 1 2\n"}, 0,
+        "438e7b94fafcded6ae98277ad4ce730aedccbb49d5f197930b4a6878ee7324f1", None,
+        id="rep-verify",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,inputs,code,stdout_sha,out_sha", _GOLDEN_CLI_RUNS)
+def test_cli_reports_match_recorded_digests(tmp_path, capsys, argv, inputs, code, stdout_sha, out_sha):
+    paths = {"out": str(tmp_path / "out.txt")}
+    for name, text in inputs().items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    assert run([arg.format(**paths) for arg in argv]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    out_file = tmp_path / "out.txt"
     written = out_file.read_bytes() if out_file.exists() else None
     assert (written and hashlib.sha256(written).hexdigest()) == out_sha

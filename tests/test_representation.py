@@ -22,7 +22,7 @@ from semireg import (
     serialize_representation,
     verify_representation,
 )
-from helpers import petersen
+from helpers import cyclic_garbage, petersen
 
 
 def test_verify_representation_examples():
@@ -53,6 +53,11 @@ def test_rep_search_witness_is_minimal():
     two_k2 = disjoint_union([complete(2), complete(2)])
     for r in range(4, 6):
         assert rep_search(two_k2, r) is None
+
+
+def test_rep_search_leaves_no_cyclic_garbage():
+    assert cyclic_garbage(lambda: rep_search(cycle(5), 50)) == 0
+    assert cyclic_garbage(lambda: rep_search(disjoint_union([complete(2), complete(2)]), 5)) == 0
 
 
 def test_rep_search_budgets():

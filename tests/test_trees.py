@@ -31,7 +31,7 @@ from semireg import (
 )
 from semireg import trees
 from semireg.oracles import OracleBudget
-from helpers import WalkCounter, make_degree_tree, planted_tree, random_hub_tree, random_tree
+from helpers import WalkCounter, cyclic_garbage, make_degree_tree, planted_tree, random_hub_tree, random_tree
 
 
 def test_candidate_pairs():
@@ -71,6 +71,12 @@ def test_vertex_feasible_respects_forbidden_sets():
     got = vertex_feasible(2, [0, 0], None, [{0}, set()], [{0, 1}, {0, 1}])
     assert got == [1, 0]
     assert vertex_feasible(2, [0, 0], None, [{0}, {0}], [{0, 2}, {0, 1}]) is None
+
+
+def test_vertex_feasible_leaves_no_cyclic_garbage():
+    # both calls reach the exact slot assignment: one succeeds, one fails
+    assert cyclic_garbage(lambda: vertex_feasible(5, [0, 0], None, [frozenset()] * 5, [{0, 1, 1}, {0, 1, 4}])) == 0
+    assert cyclic_garbage(lambda: vertex_feasible(2, [0, 0], None, [{0}, {0}], [{0, 2}, {0, 1}])) == 0
 
 
 def test_partition_two_forests_star():
