@@ -232,7 +232,9 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
-@pytest.mark.parametrize("target", ["no/such/dir/parts.txt", "."])
+@pytest.mark.parametrize(
+    "target", [pytest.param("no/such/dir/parts.txt", id="missing-dir"), pytest.param(".", id="a-dir")]
+)
 def test_unwritable_out_is_input_error(tmp_path, capsys, target):
     gfile = _write_graph(tmp_path, star(5))
     out_path = str(tmp_path / target)
