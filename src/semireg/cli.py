@@ -23,6 +23,8 @@ import hashlib
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from . import coloring, families, oracles, reductions, representation, trees
 from .errors import BudgetError, ParseError
@@ -42,14 +44,15 @@ _FAMILIES = {f.value: f for f in Family}
 @dataclass
 class RunReport:
     """What a subcommand hands to ``run``: the human headline (None: no
-    line), the text for ``--out`` (None: nothing to write), the report
-    block and the exit code."""
+    line), a function making the text for ``--out`` (None: nothing to
+    write; called only when ``--out`` is given), the report block and the
+    exit code."""
 
     command: str
     input_digest: str
     fields: list[tuple[str, str]] = field(default_factory=list)
     headline: str | None = None
-    out: str | None = None
+    out: Callable[[], str] | None = None
     code: int = EXIT_OK
 
     def add(self, key: str, value) -> None:
@@ -91,7 +94,7 @@ def _verified(report: RunReport, ok: bool) -> int:
 
 def _partition_summary(report: RunReport, g: Graph, p: EdgePartition, fam: Family, headline: str) -> int:
     """Adds the partition lines, ``headline`` formatted with the nonempty
-    part count and the partition as ``--out`` text to the report; returns
+    part count and the partition's ``--out`` text maker to the report; returns
     the exit code that re-verification gives."""
     sizes = p.part_sizes()
     nonempty = len(sizes) - sizes.count(0)
@@ -99,7 +102,7 @@ def _partition_summary(report: RunReport, g: Graph, p: EdgePartition, fam: Famil
     report.add("nonempty-parts", nonempty)
     report.add("part-sizes", " ".join(map(str, sizes)))
     report.headline = headline.format(nonempty)
-    report.out = families.serialize_partition(p)
+    report.out = partial(families.serialize_partition, p)
     return _verified(report, families.verify_partition(g, p, fam))
 
 
@@ -159,7 +162,7 @@ def _cmd_oracle(args) -> RunReport:
     else:  # no edges: an empty partition, nothing to verify
         report.add("parts", k)
         report.headline = f"minimum parts: {k}"
-        report.out = families.serialize_partition(witness)
+        report.out = partial(families.serialize_partition, witness)
     return report
 
 
@@ -198,7 +201,7 @@ def _cmd_reduce(args) -> RunReport:
     for key, value in extra:
         report.add(key, value)
     report.headline = f"built instance with {built.n} vertices"
-    report.out = serialize_graph(built)
+    report.out = partial(serialize_graph, built)
     return report
 
 
@@ -250,7 +253,7 @@ def _cmd_rep(args) -> RunReport:
         report.add("labels", " ".join(str(x) for x in rep.labels))
         report.code = _verified(report, representation.verify_representation(g, rep))
         report.headline = f"r = {rep.r}"
-        report.out = representation.serialize_representation(rep, plan)
+        report.out = partial(representation.serialize_representation, rep, plan)
     return report
 
 
@@ -338,9 +341,10 @@ def run(argv: list[str]) -> int:
         report = args.fn(args)
         path = getattr(args, "out", None)
         if path and report.out is not None:
+            text = report.out()
             try:
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(report.out)
+                    fh.write(text)
             except OSError as exc:
                 raise ParseError(f"cannot write {path}: {exc}") from None
         if report.headline is not None:

@@ -3,15 +3,19 @@
 bipartite_color gives an exact max-degree coloring of bipartite graphs by
 alternating-path recoloring; vizing colors any simple graph with at most
 max_degree + 1 colors by fan rotation, which powers the general
-semiregular bound.  two_factorize splits a 2k-regular multigraph into k
-spanning 2-regular factors by Euler-circuit 2-factorization: alternation
-at degree 4, Konig colouring of the out/in incidence graph otherwise.  It
-powers the degree-at-most-4 weakly semiregular split.
+semiregular bound.  Both keep a partial coloring as a flat list of edge
+colors plus one color -> edge dict per vertex, and find free colors and
+fan edges with C-level scans (``filterfalse`` over dict membership), not
+a Python call per candidate.  two_factorize splits a 2k-regular multigraph
+into k spanning 2-regular factors by Euler-circuit 2-factorization:
+alternation at degree 4, Konig colouring of the out/in incidence graph
+otherwise.  It powers the degree-at-most-4 weakly semiregular split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .families import EdgePartition
 from .graph import Graph, classify
@@ -30,138 +34,129 @@ class TwoFactorization:
     factors: tuple[tuple[int, ...], ...]
 
 
-class _ColorTable:
-    """Per-vertex map color -> edge id for a partial proper coloring."""
-
-    def __init__(self, g: Graph):
-        self.edges = g.edges
-        self.ecol = [-1] * g.m
-        self.at: list[dict[int, int]] = [{} for _ in range(g.n)]
-
-    def is_free(self, v: int, c: int) -> bool:
-        return c not in self.at[v]
-
-    def smallest_free(self, v: int, limit: int) -> int:
-        for c in range(limit):
-            if c not in self.at[v]:
-                return c
-        raise AssertionError("no free color in range")
-
-    def set_color(self, e: int, c: int) -> None:
-        u, v = self.edges[e]
-        old = self.ecol[e]
-        if old != -1:
-            del self.at[u][old]
-            del self.at[v][old]
-        self.ecol[e] = c
+def _recolor(edges, ecol: list[int], at: list[dict[int, int]], eids, colors) -> None:
+    """Give edge ``eids[i]`` color ``colors[i]`` in the partial coloring
+    ``ecol`` (-1: uncolored) and its per-vertex color -> edge maps ``at``,
+    uncoloring all first: one by one would clobber shared entries."""
+    for e in eids:
+        c = ecol[e]
         if c != -1:
-            self.at[u][c] = e
-            self.at[v][c] = e
+            u, v = edges[e]
+            del at[u][c]
+            del at[v][c]
+    for e, c in zip(eids, colors):
+        u, v = edges[e]
+        ecol[e] = c
+        at[u][c] = e
+        at[v][c] = e
 
-    def recolor_path(self, edges: list[int], new_colors: list[int]) -> None:
-        # uncolor first: sequential recoloring would clobber shared entries
-        for e in edges:
-            self.set_color(e, -1)
-        for e, c in zip(edges, new_colors):
-            self.set_color(e, c)
 
-    def other(self, e: int, v: int) -> int:
-        u, w = self.edges[e]
-        return w if u == v else u
-
-    def alternating_path(self, start: int, first: int, second: int) -> list[int]:
-        """Maximal path from ``start`` alternating colors first, second."""
-        path = []
-        v, want = start, first
-        while want in self.at[v]:
-            e = self.at[v][want]
-            path.append(e)
-            v = self.other(e, v)
-            want = second if want == first else first
-        return path
+def _flip(edges, ecol: list[int], at: list[dict[int, int]], start: int, first: int, second: int) -> int:
+    """Swap colors first and second on the maximal path out of ``start``
+    that alternates them, first-colored edge first; returns its far end."""
+    path = []
+    v, want, then = start, first, second
+    while want in at[v]:
+        e = at[v][want]
+        path.append(e)
+        a, b = edges[e]
+        v = b if a == v else a
+        want, then = then, want
+    _recolor(edges, ecol, at, path, [second if ecol[e] == first else first for e in path])
+    return v
 
 
 def bipartite_color(g: Graph) -> ProperEdgeColoring:
-    """Proper edge coloring of a bipartite graph with exactly max-degree colors."""
+    """Proper edge coloring of a bipartite graph with exactly max-degree colors.
+
+    Edges are colored in id order: (u, v) takes the smallest color a free
+    at u, after flipping the a/b path out of v if the smallest color b free
+    at v differs.  Each smallest free color is one C-level scan of
+    range(max_degree), one dict lookup per color tried.
+    """
     if not classify(g).is_bipartite:
         raise ValueError("graph is not bipartite")
-    deg = g.degrees()
-    delta = max(deg, default=0)
+    delta = max(g.degrees(), default=0)
     if g.m == 0:
         return ProperEdgeColoring((), 0)
-    table = _ColorTable(g)
-    for e, (u, v) in enumerate(g.edges):
-        a = table.smallest_free(u, delta)
-        b = table.smallest_free(v, delta)
+    edges = g.edges
+    ecol = [-1] * g.m
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    palette = range(delta)
+    for e, (u, v) in enumerate(edges):
+        a = next(filterfalse(at[u].__contains__, palette))
+        b = next(filterfalse(at[v].__contains__, palette))
         if a != b:
-            # Flip the maximal a/b path out of v.  It cannot reach u: it
-            # would arrive on a b-edge, forcing u and v onto the same side.
-            path = table.alternating_path(v, a, b)
-            if path:
-                end = v
-                for pe in path:
-                    end = table.other(pe, end)
-                assert end != u, "alternating path closed on the new edge"
-                flipped = [b if table.ecol[pe] == a else a for pe in path]
-                table.recolor_path(path, flipped)
-        table.set_color(e, a)
-    return ProperEdgeColoring(tuple(table.ecol), delta)
+            # The path cannot reach u: it would arrive on a b-edge, forcing
+            # u and v onto the same side.
+            end = _flip(edges, ecol, at, v, a, b)
+            assert end != u, "alternating path closed on the new edge"
+        _recolor(edges, ecol, at, (e,), (a,))
+    return ProperEdgeColoring(tuple(ecol), delta)
 
 
 def vizing(g: Graph) -> ProperEdgeColoring:
     """Proper edge coloring of a simple graph with at most max_degree + 1
-    colors, by fan rotation and alternating-path flips."""
+    colors, by fan rotation and alternating-path flips (Misra-Gries).
+
+    Edges are colored in id order.  The maximal fan at u of the uncolored
+    edge (u, v0) grows from v0 by the first edge of u, in neighbor order,
+    that leads out of the fan, is colored, and whose color is free at the
+    fan's last vertex.  ``cols`` lists the colors of u's colored edges once,
+    in neighbor order, and the next fan color is its first entry not taken
+    at the last vertex; it leaves ``cols`` when its edge joins the fan.
+    Both rules pick the same edge: u holds each color at most once, and in
+    a simple graph the only colored edges from u into the fan are fan
+    edges, v0's edge being uncolored.  Listing ``cols`` is one pass over
+    u's edges per uncolored edge; a fan step is then one C-level scan of
+    ``cols`` (a dict lookup per color tried) and one removal, with no
+    Python-level work per entry.  Free colors come from the same kind of
+    scan over the palette.
+
+    With c free at u and d free at the fan's last vertex, the d/c path out
+    of u is flipped if d is taken at u, then the shortest fan prefix ending
+    where d is free is rotated: each edge takes the next one's color, the
+    last takes d.
+    """
     if not g.is_simple():
         raise ValueError("fan-rotation coloring requires a simple graph")
-    deg = g.degrees()
-    delta = max(deg, default=0)
+    delta = max(g.degrees(), default=0)
     if g.m == 0:
         return ProperEdgeColoring((), 0)
-    num = delta + 1
-    table = _ColorTable(g)
-    adj = g.adjacency()
+    palette = range(delta + 1)
+    edges = g.edges
+    ecol = [-1] * g.m
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    incident = [[e for _, e in row] for row in g.adjacency()]  # neighbor order
 
-    for e0, (u, v0) in enumerate(g.edges):
-        # maximal fan at u starting with the uncolored edge
+    for e0, (u, v0) in enumerate(edges):
+        au = at[u]
+        cols = [ecol[e] for e in incident[u] if ecol[e] != -1]
         fan_v = [v0]
         fan_e = [e0]
-        in_fan = {v0}
-        grown = True
-        while grown:
-            grown = False
-            lastv = fan_v[-1]
-            for w, e in adj[u]:
-                if w in in_fan or table.ecol[e] == -1:
-                    continue
-                if table.is_free(lastv, table.ecol[e]):
-                    fan_v.append(w)
-                    fan_e.append(e)
-                    in_fan.add(w)
-                    grown = True
-                    break
-        c = table.smallest_free(u, num)
-        d = table.smallest_free(fan_v[-1], num)
-        if not table.is_free(u, d):
-            path = table.alternating_path(u, d, c)
-            flipped = [c if table.ecol[pe] == d else d for pe in path]
-            table.recolor_path(path, flipped)
+        while (col := next(filterfalse(at[fan_v[-1]].__contains__, cols), None)) is not None:
+            cols.remove(col)
+            e = au[col]
+            a, b = edges[e]
+            fan_v.append(b if a == u else a)
+            fan_e.append(e)
+        c = next(filterfalse(au.__contains__, palette))
+        d = next(filterfalse(at[fan_v[-1]].__contains__, palette))
+        if d in au:
+            _flip(edges, ecol, at, u, d, c)
         # shortest fan prefix ending at a vertex where d is free and whose
         # edge colors still cascade; one exists after the flip
         j = None
         for i, w in enumerate(fan_v):
-            if i > 0:
-                col = table.ecol[fan_e[i]]
-                if col == -1 or not table.is_free(fan_v[i - 1], col):
-                    break
-            if table.is_free(w, d):
+            if i > 0 and ecol[fan_e[i]] in at[fan_v[i - 1]]:
+                break
+            if d not in at[w]:
                 j = i
                 break
         assert j is not None, "fan rotation target must exist"
-        shifted = [table.ecol[fan_e[i + 1]] for i in range(j)] + [d]
-        table.recolor_path(fan_e[: j + 1], shifted)
+        _recolor(edges, ecol, at, fan_e[: j + 1], [ecol[e] for e in fan_e[1 : j + 1]] + [d])
 
-    used = len(set(table.ecol))
-    return ProperEdgeColoring(tuple(table.ecol), max(used, max(table.ecol) + 1))
+    return ProperEdgeColoring(tuple(ecol), max(len(set(ecol)), max(ecol) + 1))
 
 
 def _euler_circuit_arcs(g: Graph) -> list[tuple[int, int, int]]:

@@ -69,26 +69,38 @@ def parse_nae(text: str) -> NaeFormula:
 
 
 def nae_bruteforce(formula: NaeFormula) -> Optional[tuple[bool, ...]]:
-    """An assignment making every clause contain both values, or None.
+    """The numerically least assignment (variable i is bit i) making every
+    clause contain both values, or None.
 
     An empty clause list is vacuously satisfiable.  Repeated variables in
     a clause are kept: a clause over a single variable can never be split.
+    Backtracking assigns variables n - 1 down to 0, False before True, and
+    checks each clause once its lowest variable is assigned, so the first
+    full assignment reached is the least one.
     """
     n = formula.num_vars
     if n > 24:
         raise BudgetError(f"{n} variables exceed the brute-force budget of 24")
-    masks = []
+    due: list[list[int]] = [[] for _ in range(n)]
     for cl in formula.clauses:
         mask = 0
         for x in cl:
             mask |= 1 << x
-        masks.append(mask)
+        due[min(cl)].append(mask)
     # a clause is split iff its variables are neither all false nor all
     # true: 0 < (a & mask) < mask; a one-variable mask can never satisfy it
-    for a in range(1 << n):
-        if all(0 < (a & mk) < mk for mk in masks):
-            return tuple(bool(a >> i & 1) for i in range(n))
-    return None
+    a, i = 0, n - 1  # variables i..n-1 hold bits of a; those below i are 0
+    while i >= 0:
+        if all(0 < (a & mk) < mk for mk in due[i]):
+            i -= 1
+            continue
+        while a >> i & 1:  # both values of i failed: backtrack
+            a ^= 1 << i
+            i += 1
+            if i == n:
+                return None
+        a |= 1 << i
+    return tuple([a >> x & 1 == 1 for x in range(n)])
 
 
 def widen_degree_set(g: Graph) -> Graph:

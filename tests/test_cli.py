@@ -245,6 +245,22 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, target):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("with_out,calls", [(False, 0), (True, 1)])
+def test_partition_serialized_only_for_out(tmp_path, capsys, monkeypatch, with_out, calls):
+    serialize = cli.families.serialize_partition
+    seen = []
+    monkeypatch.setattr(cli.families, "serialize_partition", lambda p: seen.append(p) or serialize(p))
+    gfile = _write_graph(tmp_path, star(5))
+    argv = ["decompose", gfile, "--method", "sr-tree"]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    out_path = tmp_path / "parts.txt"
+    assert run(argv + (["--out", str(out_path)] if with_out else [])) == 0
+    assert capsys.readouterr().out == plain
+    assert len(seen) == calls
+    assert out_path.exists() == with_out
+
+
 @pytest.mark.parametrize(
     "module,name,argv,graph",
     [
@@ -444,6 +460,13 @@ _GOLDEN_CLI_RUNS = [
         "925ffe9cd9a21f2eda39a8e77e0264997868d533247c98d289754f6ab650cc7f",
         "420f22f46afb7c63178940480e50c27b7ad9f99c37317ecc838b1095c4092393",
         id="decompose-sr-general",
+    ),
+    pytest.param(  # Δ = 38, so fans grow long; recorded from the per-entry fan scan
+        ["decompose", "{g}", "--method", "sr-general", "--out", "{out}"],
+        lambda: {"g": serialize_graph(random_simple_graph(60, 900, random.Random(31)))}, 0,
+        "65518fee7d9f432b81ce2a44e7fe44a485861e1d0ff459a4f6d78c260807eb4b",
+        "c33e0ab3619c73d62f46ec9745f2052372d0abd6901b0b6d82a39d71533a927d",
+        id="decompose-sr-general-long-fans",
     ),
     pytest.param(
         ["decompose", "{g}", "--method", "wr2-deg4", "--out", "{out}"],

@@ -5,7 +5,9 @@ import pytest
 from semireg import (
     Family,
     Graph,
+    ProperEdgeColoring,
     bipartite_color,
+    classify,
     complete,
     complete_bipartite,
     cycle,
@@ -19,6 +21,7 @@ from semireg import (
     vizing,
     wr2_deg4,
 )
+from semireg.coloring import _euler_circuit_arcs
 from helpers import (
     edge_chromatic_feasible,
     is_proper_coloring,
@@ -257,3 +260,178 @@ def test_sr_tree_never_beaten_by_general_bound():
         t = random_tree(rng.randrange(2, 16), rng)
         delta = max(t.degrees())
         assert sr_tree(t).k == (delta + 1) // 2 <= (delta + 2) // 2
+
+
+# Verbatim copy of the colour table, `bipartite_color` and `vizing` before
+# the fan scan moved to C-level iterators; the new code must give the same
+# colours edge for edge.
+class _OldColorTable:
+    """Per-vertex map color -> edge id for a partial proper coloring."""
+
+    def __init__(self, g: Graph):
+        self.edges = g.edges
+        self.ecol = [-1] * g.m
+        self.at: list[dict[int, int]] = [{} for _ in range(g.n)]
+
+    def is_free(self, v: int, c: int) -> bool:
+        return c not in self.at[v]
+
+    def smallest_free(self, v: int, limit: int) -> int:
+        for c in range(limit):
+            if c not in self.at[v]:
+                return c
+        raise AssertionError("no free color in range")
+
+    def set_color(self, e: int, c: int) -> None:
+        u, v = self.edges[e]
+        old = self.ecol[e]
+        if old != -1:
+            del self.at[u][old]
+            del self.at[v][old]
+        self.ecol[e] = c
+        if c != -1:
+            self.at[u][c] = e
+            self.at[v][c] = e
+
+    def recolor_path(self, edges: list[int], new_colors: list[int]) -> None:
+        # uncolor first: sequential recoloring would clobber shared entries
+        for e in edges:
+            self.set_color(e, -1)
+        for e, c in zip(edges, new_colors):
+            self.set_color(e, c)
+
+    def other(self, e: int, v: int) -> int:
+        u, w = self.edges[e]
+        return w if u == v else u
+
+    def alternating_path(self, start: int, first: int, second: int) -> list[int]:
+        """Maximal path from ``start`` alternating colors first, second."""
+        path = []
+        v, want = start, first
+        while want in self.at[v]:
+            e = self.at[v][want]
+            path.append(e)
+            v = self.other(e, v)
+            want = second if want == first else first
+        return path
+
+
+def _old_bipartite_color(g):
+    """Proper edge coloring of a bipartite graph with exactly max-degree colors."""
+    if not classify(g).is_bipartite:
+        raise ValueError("graph is not bipartite")
+    deg = g.degrees()
+    delta = max(deg, default=0)
+    if g.m == 0:
+        return ProperEdgeColoring((), 0)
+    table = _OldColorTable(g)
+    for e, (u, v) in enumerate(g.edges):
+        a = table.smallest_free(u, delta)
+        b = table.smallest_free(v, delta)
+        if a != b:
+            # Flip the maximal a/b path out of v.  It cannot reach u: it
+            # would arrive on a b-edge, forcing u and v onto the same side.
+            path = table.alternating_path(v, a, b)
+            if path:
+                end = v
+                for pe in path:
+                    end = table.other(pe, end)
+                assert end != u, "alternating path closed on the new edge"
+                flipped = [b if table.ecol[pe] == a else a for pe in path]
+                table.recolor_path(path, flipped)
+        table.set_color(e, a)
+    return ProperEdgeColoring(tuple(table.ecol), delta)
+
+
+def _old_vizing(g):
+    """Proper edge coloring of a simple graph with at most max_degree + 1
+    colors, by fan rotation and alternating-path flips."""
+    if not g.is_simple():
+        raise ValueError("fan-rotation coloring requires a simple graph")
+    deg = g.degrees()
+    delta = max(deg, default=0)
+    if g.m == 0:
+        return ProperEdgeColoring((), 0)
+    num = delta + 1
+    table = _OldColorTable(g)
+    adj = g.adjacency()
+
+    for e0, (u, v0) in enumerate(g.edges):
+        # maximal fan at u starting with the uncolored edge
+        fan_v = [v0]
+        fan_e = [e0]
+        in_fan = {v0}
+        grown = True
+        while grown:
+            grown = False
+            lastv = fan_v[-1]
+            for w, e in adj[u]:
+                if w in in_fan or table.ecol[e] == -1:
+                    continue
+                if table.is_free(lastv, table.ecol[e]):
+                    fan_v.append(w)
+                    fan_e.append(e)
+                    in_fan.add(w)
+                    grown = True
+                    break
+        c = table.smallest_free(u, num)
+        d = table.smallest_free(fan_v[-1], num)
+        if not table.is_free(u, d):
+            path = table.alternating_path(u, d, c)
+            flipped = [c if table.ecol[pe] == d else d for pe in path]
+            table.recolor_path(path, flipped)
+        # shortest fan prefix ending at a vertex where d is free and whose
+        # edge colors still cascade; one exists after the flip
+        j = None
+        for i, w in enumerate(fan_v):
+            if i > 0:
+                col = table.ecol[fan_e[i]]
+                if col == -1 or not table.is_free(fan_v[i - 1], col):
+                    break
+            if table.is_free(w, d):
+                j = i
+                break
+        assert j is not None, "fan rotation target must exist"
+        shifted = [table.ecol[fan_e[i + 1]] for i in range(j)] + [d]
+        table.recolor_path(fan_e[: j + 1], shifted)
+
+    used = len(set(table.ecol))
+    return ProperEdgeColoring(tuple(table.ecol), max(used, max(table.ecol) + 1))
+
+
+def _oriented_at_random(g, rng):
+    """The same edges in a shuffled order, each with a random orientation."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.n, tuple(edges))
+
+
+def test_vizing_matches_old_fan_scan():
+    rng = random.Random(211)
+    graphs = [complete(n) for n in range(1, 13)]
+    graphs += [petersen(), Graph(3, ())]
+    graphs += [complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 8)]
+    for i in range(300):
+        n = rng.randrange(2, 41)
+        g = random_simple_graph(n, rng.randrange(1, n * (n - 1) // 2 + 1), rng)
+        graphs.append(_oriented_at_random(g, rng) if i % 2 else g)
+    graphs.append(random_simple_graph(200, 4000, random.Random(212)))
+    for g in graphs:
+        assert vizing(g) == _old_vizing(g)
+
+
+def test_bipartite_color_matches_old_table():
+    rng = random.Random(213)
+    graphs = [complete_bipartite(a, b) for a in range(1, 7) for b in range(a, 9)]
+    graphs += [path(1), path(6), cycle(8), Graph(4, ((0, 2), (0, 2), (1, 3), (0, 3)))]
+    for _ in range(200):
+        a, b = rng.randrange(1, 12), rng.randrange(1, 12)
+        graphs.append(_random_bipartite(rng, a, b, rng.randrange(1, a * b + 1)))
+    # the out/in incidence graphs that two_factorize colours at degree 6 and 8
+    regular = [complete(7), complete(9), Graph(3, ((0, 1), (1, 2), (2, 0)) * 3)]
+    regular += [_hamiltonian_cycle_union(rng.randrange(3, 40), k, rng) for k in (3, 4) for _ in range(20)]
+    for g in regular:
+        arcs = _euler_circuit_arcs(g)
+        graphs.append(Graph(2 * g.n, tuple((t, g.n + h) for t, h, _ in arcs)))
+    for g in graphs:
+        assert bipartite_color(g) == _old_bipartite_color(g)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import os
 
 import pytest
@@ -223,3 +224,51 @@ def test_extract_assignment_round_trip_through_reduction():
 
     got = extract_assignment(g, EdgePartition(2, tuple(part)), result.variable_vertices)
     assert got == want
+
+
+def _old_nae_bruteforce(formula):
+    # verbatim copy of the search before it backtracked
+    n = formula.num_vars
+    if n > 24:
+        raise BudgetError(f"{n} variables exceed the brute-force budget of 24")
+    masks = []
+    for cl in formula.clauses:
+        mask = 0
+        for x in cl:
+            mask |= 1 << x
+        masks.append(mask)
+    # a clause is split iff its variables are neither all false nor all
+    # true: 0 < (a & mask) < mask; a one-variable mask can never satisfy it
+    for a in range(1 << n):
+        if all(0 < (a & mk) < mk for mk in masks):
+            return tuple(bool(a >> i & 1) for i in range(n))
+    return None
+
+
+def _planted_nae(n, rng):
+    """3-clauses over n variables, each split by a hidden assignment."""
+    hidden = [rng.random() < 0.5 for _ in range(n)]
+    clauses = []
+    while len(clauses) < 3 * n // 2:
+        cl = tuple(rng.randrange(n) for _ in range(3))
+        if len({hidden[x] for x in cl}) == 2:
+            clauses.append(cl)
+    return NaeFormula(n, tuple(clauses))
+
+
+def test_nae_backtracking_matches_old_enumeration():
+    rng = random.Random(151)
+    formulas = [NaeFormula(n, ()) for n in range(4)]
+    formulas += [_planted_nae(rng.choice((16, 18)), rng) for _ in range(10)]
+    for _ in range(3000):
+        n = rng.randrange(1, 10)
+        clauses = tuple(
+            tuple(rng.randrange(n) for _ in range(rng.choice((2, 3)))) for _ in range(rng.randrange(0, 3 * n))
+        )
+        formulas.append(NaeFormula(n, clauses))
+    unsat = 0
+    for f in formulas:
+        got = nae_bruteforce(f)
+        assert got == _old_nae_bruteforce(f)
+        unsat += got is None
+    assert 100 < unsat < len(formulas) - 100
