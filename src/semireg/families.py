@@ -40,7 +40,11 @@ class EdgePartition:
         # tuple grown from an iterator of unknown length is resized, and
         # small ones freed after resizing pile up on CPython's per-size free
         # lists until a full garbage collection
-        object.__setattr__(self, "part", tuple(list(map(int, self.part))))
+        part = tuple(list(map(int, self.part)))
+        object.__setattr__(self, "part", part)
+        if part and (min(part) < 0 or max(part) >= self.k):
+            e = next(e for e, q in enumerate(part) if not 0 <= q < self.k)
+            raise ValueError(f"edge {e} assigned to invalid part {part[e]}")
 
     def part_sizes(self) -> list[int]:
         sizes = [0] * self.k
@@ -95,8 +99,6 @@ def verify_partition(g: Graph, p: EdgePartition, f: Family) -> bool:
         raise ValueError(f"partition covers {len(p.part)} edges, graph has {g.m}")
     parts: dict[int, list[tuple[int, int]]] = {}
     for e, q in enumerate(p.part):
-        if not 0 <= q < p.k:
-            raise ValueError(f"edge {e} assigned to invalid part {q}")
         parts.setdefault(q, []).append(g.edges[e])
     return all(_edges_fit(edges, f) for edges in parts.values())
 

@@ -254,10 +254,14 @@ def load_gadget_set(directory: str, variant: str) -> GadgetSet:
     gadgets = {}
     for name in variant_gadget_names(variant):
         filepath = os.path.join(directory, f"{name}.gadget")
-        if not os.path.exists(filepath):
-            raise GadgetError(f"missing gadget {name!r}: no file {filepath}")
-        with open(filepath, encoding="utf-8") as fh:
-            gadgets[name] = parse_gadget(name, fh.read())
+        try:
+            with open(filepath, encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise GadgetError(f"missing gadget {name!r}: no file {filepath}") from None
+        except OSError as exc:
+            raise GadgetError(f"cannot read gadget {name!r} from {filepath}: {exc.strerror}") from None
+        gadgets[name] = parse_gadget(name, text)
     return GadgetSet(gadgets)
 
 

@@ -215,14 +215,19 @@ def parse_representation(text: str) -> Representation:
         fields = line.split()
         if not fields:
             continue
-        if fields[0] == "r" and len(fields) == 2:
-            r = int(fields[1])
-        elif fields[0] == "labels":
-            labels = tuple(int(x) for x in fields[1:])
-        elif fields[0] == "primes":
+        key = fields[0]
+        if key == "primes":
             continue
-        else:
+        if key not in ("r", "labels") or key == "r" and len(fields) != 2:
             raise ParseError(f"line {i + 1}: unrecognized representation line")
+        try:
+            values = tuple(map(int, fields[1:]))
+        except ValueError:
+            raise ParseError(f"line {i + 1}: {key} values must be integers") from None
+        if key == "r":
+            (r,) = values
+        else:
+            labels = values
     if r is None or labels is None:
         raise ParseError("representation needs an 'r' line and a 'labels' line")
     return Representation(r, labels)

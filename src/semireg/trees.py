@@ -8,7 +8,8 @@ Three constructions on trees:
   cannot take and a second labelling pass.  The two-forest split of the
   paper is its c = 2 case, whose vertex step is closed form, O(deg v), so
   it is O(n) per pair, while every other c takes ``vertex_feasible``,
-  which searches target vectors;
+  which searches target vectors.  ``wr2_tree`` and ``wrc_tree`` run it on
+  each parameter tuple whose degree options cover the degree set;
 * a binary-expansion labeling producing O(log max_degree) weakly
   semiregular forests, and the optimal semiregular decomposition into
   exactly ceil(max_degree / 2) parts.
@@ -20,7 +21,7 @@ vertex id, so results are reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from .families import EdgePartition
 from .graph import DegreeSet, Graph, RootedTree, bfs_root, degree_set
@@ -28,23 +29,40 @@ from .graph import DegreeSet, Graph, RootedTree, bfs_root, degree_set
 
 def candidate_pairs(degrees: Sequence[int] | DegreeSet, max_degree: int) -> list[tuple[int, int]]:
     """All pairs (alpha, beta), alpha <= beta <= max_degree, whose combined
-    per-vertex degree options cover the tree's degree set.
+    per-vertex degree options cover the tree's degree set: the c = 2
+    listing of ``_covering_tuples``.
 
     A vertex incident to both forests sees a degree in
     {1, 2, alpha, alpha+1, beta, beta+1, alpha+beta}; a degree set not
     contained in that union rules the pair out.  Eight or more distinct
     degrees rule out every pair.
     """
-    ds = set(degrees)
-    if len(ds) >= 8:
-        return []
-    out = []
-    for alpha in range(1, max_degree + 1):
-        for beta in range(alpha, max_degree + 1):
-            allowed = {1, 2, alpha, alpha + 1, beta, beta + 1, alpha + beta}
-            if ds <= allowed:
-                out.append((alpha, beta))
-    return out
+    return list(_covering_tuples(set(degrees), max_degree, 2))
+
+
+def _covering_tuples(ds: Collection[int], delta: int, c: int) -> Iterator[tuple[int, ...]]:
+    """The nondecreasing c-tuples over 1..delta, in
+    ``combinations_with_replacement`` order, for which every degree in the
+    set ``ds`` is a nonzero sum of one value from each {0, 1, alphas[k]}.
+
+    A tree vertex's degree is the sum of its degrees in the c forests, so
+    no other tuple can split the tree.  The c parts give at most
+    (c + 2) * 2^(c - 1) - 1 distinct nonzero sums.  Sum sets are bit masks.
+    """
+    if 0 in ds or len(ds) > ((c + 2) << (c - 1)) - 1:
+        return
+    need = sum(1 << d for d in ds)
+    for prefix in itertools.combinations_with_replacement(range(1, delta + 1), c - 1):
+        sums = 1  # bit s: one value from each prefix part adds up to s
+        for a in prefix:
+            sums |= sums << 1 | sums << a
+        rest = need & ~(sums | sums << 1)  # the degrees that need the last alpha
+        # each is s + alpha for a prefix sum s: alpha is at most the least of
+        # them, and shifted down by alpha they must all be prefix sums
+        top = min(delta, (rest & -rest).bit_length() - 1) if rest else delta
+        for a in range(prefix[-1] if prefix else 1, top + 1):
+            if rest >> a & sums == rest >> a:
+                yield prefix + (a,)
 
 
 def vertex_feasible(
@@ -138,7 +156,7 @@ def partition_forests(t: Graph | RootedTree, alphas: Sequence[int]) -> Optional[
     For c = 2 this is ``partition_two_forests``, witnesses included."""
     if len(alphas) < 1:
         raise ValueError("need at least one part")
-    if any(a < 1 for a in alphas):
+    if min(alphas) < 1:
         raise ValueError("alphas must be >= 1")
     return _split(_require_rooted(t), tuple(alphas))
 
@@ -253,35 +271,34 @@ def wr2_tree(t: Graph) -> Optional[EdgePartition]:
 
     Returns a witness partition (2 parts, possibly one empty) or None.
     Trees with at most two distinct degrees are weakly semiregular as they
-    stand; otherwise every candidate (alpha, beta) pair is tried in order.
+    stand; otherwise this is ``wrc_tree`` at c = 2.
     """
     rt = bfs_root(t, 0)
     ds = degree_set(t)
     if len(ds) <= 2:
         return EdgePartition(2, (0,) * t.m)
-    delta = max(ds)
-    for alpha, beta in candidate_pairs(ds, delta):
-        result = partition_two_forests(rt, alpha, beta)
-        if result is not None:
-            return result
-    return None
+    return _first_split(rt, ds, 2)
 
 
-def wrc_tree(t: Graph, c: int) -> Optional[EdgePartition]:
+def wrc_tree(t: Graph | RootedTree, c: int) -> Optional[EdgePartition]:
     """Decide whether a tree splits into at most c weakly semiregular forests.
 
-    Tries every nondecreasing c-tuple of forest parameters up to the
-    maximum degree and returns the first witness.
+    Tries the nondecreasing c-tuples of forest parameters up to the maximum
+    degree whose degree options cover the degree set, in order, and returns
+    the first witness.
     """
     if c < 1:
         raise ValueError("need c >= 1")
-    rt = bfs_root(t, 0)
-    if t.m == 0:
+    rt = _require_rooted(t)
+    if rt.graph.m == 0:
         return EdgePartition(c, ())
-    delta = max(degree_set(t))
-    for alphas in itertools.combinations_with_replacement(range(1, delta + 1), c):
-        result = partition_forests(rt, alphas)
-        if result is not None:
+    return _first_split(rt, degree_set(rt.graph), c)
+
+
+def _first_split(rt: RootedTree, ds: DegreeSet, c: int) -> Optional[EdgePartition]:
+    """The first split over the covering c-tuples, in order, or None."""
+    for alphas in _covering_tuples(ds, ds[-1], c):
+        if (result := partition_forests(rt, alphas)) is not None:
             return result
     return None
 

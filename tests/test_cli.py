@@ -167,6 +167,20 @@ def test_reduce_gadget_variant_missing_dir(tmp_path):
     assert run(["reduce", str(formula), "--variant", "thm3iii", "--gadgets", str(tmp_path)]) == 2
 
 
+def test_reduce_gadget_unreadable_file_is_input_error(tmp_path, capsys):
+    # B.gadget is a directory: an input error naming the file, not a crash
+    formula = tmp_path / "f.nae"
+    formula.write_text("0 1 2\n0 1 2\n0 1 2\n")
+    gadget_dir = tmp_path / "gadgets"
+    gadget_dir.mkdir()
+    (gadget_dir / "B.gadget").mkdir()
+    assert run(["reduce", str(formula), "--variant", "thm2", "--gadgets", str(gadget_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = [line for line in captured.err.splitlines() if not line.startswith("elapsed: ")]
+    assert err == [f"input error: cannot read gadget 'B' from {gadget_dir / 'B.gadget'}: Is a directory"]
+
+
 def test_nae_solve(tmp_path, capsys):
     f = tmp_path / "sat.nae"
     f.write_text("0 1\n0 1 2\n")
@@ -199,6 +213,16 @@ def test_rep_commands(tmp_path, capsys):
         "2k2.txt",
     )
     assert run(["rep", "search", two_k2, "--r-max", "5"]) == 1
+
+
+def test_rep_verify_non_integer_label_is_input_error(tmp_path, capsys):
+    gfile = _write_graph(tmp_path, cycle(5))
+    rep_file = tmp_path / "rep.txt"
+    rep_file.write_text("r 5\nlabels 0 1 x 3 4\n")
+    assert run(["rep", "verify", gfile, "--rep", str(rep_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: line 2: " in captured.err
 
 
 def test_malformed_graph_is_input_error(tmp_path):

@@ -118,6 +118,14 @@ def test_verify_partition():
         verify_partition(k13, EdgePartition(1, (0, 0, 1)), Family.REGULAR)
 
 
+def test_partition_rejects_part_ids_out_of_range():
+    # ids outside 0..k-1 would miscount in part_sizes and nonempty_parts
+    for part in ((0, -1), (1, 2, 0)):
+        with pytest.raises(ValueError, match="edge 1 assigned to invalid part"):
+            EdgePartition(2, part)
+    assert EdgePartition(0, ()).part_sizes() == []
+
+
 def test_empty_parts_vacuously_pass():
     g = path(3)
     p = EdgePartition(4, (0, 0))

@@ -197,3 +197,9 @@ def test_representation_text_roundtrip():
         parse_representation("labels 0 1")
     with pytest.raises(ParseError):
         parse_representation("nonsense 3")
+
+
+@pytest.mark.parametrize("text, line", [("r x\nlabels 0 1\n", 1), ("r 5\n\nlabels 0 1.5\n", 3)])
+def test_parse_representation_names_the_line_of_a_non_integer(text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        parse_representation(text)

@@ -394,6 +394,77 @@ def test_wrc_tree_three_parts_star():
     assert wrc_tree(star(3), 3) is not None
 
 
+def test_covering_tuples_are_the_tuples_whose_sums_cover_the_degrees():
+    rng = random.Random(61)
+    for _ in range(300):
+        delta = rng.randrange(1, 10)
+        ds = set(rng.sample(range(delta + 3), rng.randrange(min(delta + 3, 9) + 1)))
+        if rng.random() < 0.8:
+            ds.discard(0)
+        for c in (1, 2, 3):
+            expected = [
+                alphas
+                for alphas in itertools.combinations_with_replacement(range(1, delta + 1), c)
+                if ds <= {sum(pick) for pick in itertools.product(*((0, 1, a) for a in alphas))} - {0}
+            ]
+            assert list(trees._covering_tuples(ds, delta, c)) == expected
+
+
+def _reference_candidate_pairs(degrees, max_degree):
+    """``candidate_pairs`` before the shared covering generator, verbatim."""
+    ds = set(degrees)
+    if len(ds) >= 8:
+        return []
+    out = []
+    for alpha in range(1, max_degree + 1):
+        for beta in range(alpha, max_degree + 1):
+            allowed = {1, 2, alpha, alpha + 1, beta, beta + 1, alpha + beta}
+            if ds <= allowed:
+                out.append((alpha, beta))
+    return out
+
+
+def _reference_wr2_tree(t):
+    """``wr2_tree`` with its own pair loop, verbatim."""
+    rt = bfs_root(t, 0)
+    ds = degree_set(t)
+    if len(ds) <= 2:
+        return EdgePartition(2, (0,) * t.m)
+    delta = max(ds)
+    for alpha, beta in _reference_candidate_pairs(ds, delta):
+        result = partition_two_forests(rt, alpha, beta)
+        if result is not None:
+            return result
+    return None
+
+
+def _reference_wrc_tree(t, c):
+    """``wrc_tree`` over every c-tuple with no covering filter, verbatim."""
+    if c < 1:
+        raise ValueError("need c >= 1")
+    rt = bfs_root(t, 0)
+    if t.m == 0:
+        return EdgePartition(c, ())
+    delta = max(degree_set(t))
+    for alphas in itertools.combinations_with_replacement(range(1, delta + 1), c):
+        result = partition_forests(rt, alphas)
+        if result is not None:
+            return result
+    return None
+
+
+def test_wr2_tree_matches_reference_loop():
+    corpus = itertools.chain(_forest_pinning_trees(), enumerate_trees(7))
+    for t in corpus:
+        assert wr2_tree(t) == _reference_wr2_tree(t)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_wrc_tree_matches_reference_loop(c):
+    for t in _forest_pinning_trees():
+        assert wrc_tree(t, c) == _reference_wrc_tree(t, c)
+
+
 def test_log_tree_partition_star():
     k15 = star(5)
     p = log_tree_partition(k15)
