@@ -217,19 +217,27 @@ def classify(g: Graph) -> Classification:
     )
 
 
+def neighbor_masks(g: Graph) -> Optional[list[int]]:
+    """Entry u is an int whose bit v is set when u and v are adjacent, or
+    None when g has a parallel edge, so this is also the simplicity test.
+
+    The masks take n^2/8 bytes: read them where the work is quadratic in n
+    anyway, and use ``Graph.is_simple`` on large sparse graphs.
+    """
+    nb = [0] * g.n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    # without loops, each edge sets two bits unless it repeats an earlier one
+    return nb if sum(map(int.bit_count, nb)) == 2 * g.m else None
+
+
 def complement(g: Graph) -> Graph:
-    if not g.is_simple():
+    nb = neighbor_masks(g)
+    if nb is None:
         raise ValueError("complement is defined for simple graphs only")
-    present = {(min(u, v), max(u, v)) for u, v in g.edges}
-    return Graph(
-        g.n,
-        tuple(
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if (u, v) not in present
-        ),
-    )
+    n = g.n
+    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if not nb[u] >> v & 1))
 
 
 def bfs_root(g: Graph, v: int) -> RootedTree:

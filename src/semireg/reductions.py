@@ -261,6 +261,8 @@ def load_gadget_set(directory: str, variant: str) -> GadgetSet:
             raise GadgetError(f"missing gadget {name!r}: no file {filepath}") from None
         except OSError as exc:
             raise GadgetError(f"cannot read gadget {name!r} from {filepath}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise GadgetError(f"cannot read gadget {name!r} from {filepath}: {exc}") from None
         gadgets[name] = parse_gadget(name, text)
     return GadgetSet(gadgets)
 

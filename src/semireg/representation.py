@@ -16,7 +16,7 @@ from typing import Optional
 
 from .coloring import vizing
 from .errors import BudgetError, ParseError
-from .graph import Graph, complement
+from .graph import Graph, complement, neighbor_masks
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,34 @@ class PrimePlan:
 
 def verify_representation(g: Graph, rep: Representation) -> bool:
     """True iff adjacency coincides with label differences coprime to r."""
-    if not g.is_simple():
+    nb = neighbor_masks(g)
+    if nb is None:
         raise ValueError("representations are defined for simple graphs")
-    if len(rep.labels) != g.n:
+    labels, r = rep.labels, rep.r
+    if len(labels) != g.n:
         raise ValueError("one label per vertex required")
-    if len(set(rep.labels)) != g.n:
+    if len(set(labels)) != g.n:
         raise ValueError("labels must be injective")
-    if any(not 0 <= lab < rep.r for lab in rep.labels):
+    if any(not 0 <= lab < r for lab in labels):
         raise ValueError("labels must lie in 0..r-1")
-    adjacent = {(min(u, v), max(u, v)) for u, v in g.edges}
-    for u in range(g.n):
+    for u, row in enumerate(nb):
+        a = labels[u]
         for v in range(u + 1, g.n):
-            coprime = math.gcd(abs(rep.labels[u] - rep.labels[v]), rep.r) == 1
-            if coprime != ((u, v) in adjacent):
+            if (math.gcd(a - labels[v], r) == 1) != (row >> v & 1):
                 return False
     return True
+
+
+def _coprime_mask(r: int) -> int:
+    """Bit x, 0 <= x < r, set when gcd(x, r) = 1, for r >= 2: every x that
+    shares a divisor d > 1 with r is cleared, and the multiples of d below
+    r are the bits of (2^r - 1) // (2^d - 1)."""
+    full = (1 << r) - 1
+    mask = full ^ 1
+    for d in range(2, math.isqrt(r) + 1):
+        if r % d == 0:
+            mask &= ~(full // ((1 << d) - 1) | full // ((1 << r // d) - 1))
+    return mask
 
 
 def rep_search(
@@ -59,10 +72,13 @@ def rep_search(
 ) -> Optional[Representation]:
     """Least modulus r <= r_max admitting a representation, with a witness.
 
-    Backtracking over vertex labels with pairwise pruning.  Since
-    gcd(x, r) = gcd(r - x, r), label differences matter only modulo r, so
-    every representation can be translated to one containing label 0;
-    ``fix_first_label`` exploits that (and can be disabled to cross-check).
+    Depth-first over vertex labels, lowest label first, with no recursion:
+    vertex i's untried labels are one bit mask, the unused labels whose
+    difference to every placed label is coprime to r exactly where the
+    vertices are adjacent.  Since gcd(x, r) = gcd(r - x, r), label
+    differences matter only modulo r, so every representation can be
+    translated to one containing label 0; ``fix_first_label`` exploits that
+    (and can be disabled to cross-check).
     """
     if not g.is_simple():
         raise ValueError("representations are defined for simple graphs")
@@ -70,42 +86,34 @@ def rep_search(
         raise BudgetError("representation search supports n <= 8")
     if r_max > 10**4:
         raise BudgetError("representation search supports r_max <= 10^4")
-    adj = [[False] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u][v] = adj[v][u] = True
+    n, nb = g.n, neighbor_masks(g)
 
-    for r in range(max(2, g.n), r_max + 1):
-        # cop[x]: whether gcd(x, r) = 1; a negative difference x indexes
-        # cop[r + x], and gcd(r + x, r) = gcd(|x|, r)
-        cop = [math.gcd(x, r) == 1 for x in range(r)]
-        labels = [-1] * g.n
-        used = [False] * r
-
-        def place(i: int) -> bool:
-            if i == g.n:
-                return True
-            first = fix_first_label and i == 0
-            row = adj[i]
-            for lab in range(1 if first else r):
-                if used[lab]:
-                    continue
+    for r in range(max(2, n), r_max + 1):
+        full, cop = (1 << r) - 1, _coprime_mask(r)
+        # near[j]: the labels whose difference to labels[j] is coprime to r,
+        # never labels[j] itself as gcd(0, r) = r; far[j]: the others but
+        # labels[j], so no label is placed twice
+        labels, near, far = [0] * n, [0] * n, [0] * n
+        untried = [1 if fix_first_label else full] + [0] * n
+        i = 0
+        while 0 <= i < n:
+            m = untried[i]
+            if not m:
+                i -= 1
+                continue
+            low = m & -m
+            untried[i] = m ^ low
+            lab = labels[i] = low.bit_length() - 1
+            near[i] = (cop << lab | cop >> (r - lab)) & full
+            far[i] = full ^ near[i] ^ low
+            i += 1
+            if i < n:
+                m, row = full, nb[i]
                 for j in range(i):
-                    if cop[lab - labels[j]] != row[j]:
-                        break
-                else:
-                    labels[i] = lab
-                    used[lab] = True
-                    if place(i + 1):
-                        return True
-                    used[lab] = False
-                    labels[i] = -1
-            return False
-
-        try:
-            if place(0):
-                return Representation(r, tuple(labels))
-        finally:
-            del place  # place refers to itself through its closure cell: a cycle
+                    m &= near[j] if row >> j & 1 else far[j]
+                untried[i] = m
+        if i == n:
+            return Representation(r, tuple(labels))
     return None
 
 
@@ -123,11 +131,8 @@ def next_prime(m: int) -> int:
 
 
 def _has_triangle(g: Graph) -> bool:
-    neighbors = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    return any(neighbors[u] & neighbors[v] for u, v in g.edges)
+    nb = neighbor_masks(g)
+    return any(nb[u] & nb[v] for u, v in g.edges)
 
 
 def _crt(residues: list[int], moduli: list[int]) -> int:
@@ -216,9 +221,7 @@ def parse_representation(text: str) -> Representation:
         if not fields:
             continue
         key = fields[0]
-        if key == "primes":
-            continue
-        if key not in ("r", "labels") or key == "r" and len(fields) != 2:
+        if key not in ("r", "primes", "labels") or key == "r" and len(fields) != 2:
             raise ParseError(f"line {i + 1}: unrecognized representation line")
         try:
             values = tuple(map(int, fields[1:]))
@@ -226,7 +229,7 @@ def parse_representation(text: str) -> Representation:
             raise ParseError(f"line {i + 1}: {key} values must be integers") from None
         if key == "r":
             (r,) = values
-        else:
+        elif key == "labels":
             labels = values
     if r is None or labels is None:
         raise ParseError("representation needs an 'r' line and a 'labels' line")

@@ -133,6 +133,17 @@ def random_simple_graph(n: int, m: int, rng: random.Random) -> Graph:
     return Graph(n, tuple(pairs[:m]))
 
 
+def seeded_simple_graphs(seed: int, max_n: int = 40):
+    """For each n in 0..max_n: the empty graph, the complete graph and one
+    random simple graph, each with its edge ends swapped at random."""
+    rng = random.Random(seed)
+    for n in range(max_n + 1):
+        pairs = n * (n - 1) // 2
+        for m in (0, pairs, rng.randint(0, pairs)):
+            g = random_simple_graph(n, m, rng)
+            yield Graph(n, tuple((v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges))
+
+
 def random_deg4_graph(n: int, rng: random.Random) -> Graph:
     """Random simple graph with max degree <= 4 and min degree >= 1."""
     order = list(range(n))

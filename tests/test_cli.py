@@ -181,6 +181,31 @@ def test_reduce_gadget_unreadable_file_is_input_error(tmp_path, capsys):
     assert err == [f"input error: cannot read gadget 'B' from {gadget_dir / 'B.gadget'}: Is a directory"]
 
 
+def test_reduce_gadget_not_utf8_names_the_file(tmp_path, capsys):
+    formula = tmp_path / "f.nae"
+    formula.write_text("0 1 2\n0 1 2\n0 1 2\n")
+    gadget_dir = tmp_path / "gadgets"
+    gadget_dir.mkdir()
+    (gadget_dir / "B.gadget").write_bytes(b"\xff\xfe2 1\n0 1\n")
+    assert run(["reduce", str(formula), "--variant", "thm2", "--gadgets", str(gadget_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = [line for line in captured.err.splitlines() if not line.startswith("elapsed: ")]
+    assert len(err) == 1
+    assert err[0].startswith(f"input error: cannot read gadget 'B' from {gadget_dir / 'B.gadget'}: 'utf-8' codec")
+
+
+def test_graph_file_not_utf8_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "g.txt"
+    bad.write_bytes(b"\xff\xfe2 1\n0 1\n")
+    assert run(["decide", "wr2-tree", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = [line for line in captured.err.splitlines() if not line.startswith("elapsed: ")]
+    assert len(err) == 1
+    assert err[0].startswith(f"input error: cannot read {bad}: 'utf-8' codec")
+
+
 def test_nae_solve(tmp_path, capsys):
     f = tmp_path / "sat.nae"
     f.write_text("0 1\n0 1 2\n")
@@ -223,6 +248,16 @@ def test_rep_verify_non_integer_label_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "input error: line 2: " in captured.err
+
+
+def test_rep_verify_non_integer_prime_is_input_error(tmp_path, capsys):
+    gfile = _write_graph(tmp_path, cycle(5))
+    rep_file = tmp_path / "rep.txt"
+    rep_file.write_text("r 5\nprimes x y\nlabels 0 1 2 3 4\n")
+    assert run(["rep", "verify", gfile, "--rep", str(rep_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: line 2: primes values must be integers" in captured.err
 
 
 def test_malformed_graph_is_input_error(tmp_path):

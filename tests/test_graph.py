@@ -22,7 +22,8 @@ from semireg import (
     star,
     to_dot,
 )
-from helpers import brute_isomorphic, random_simple_graph, reference_bfs_root
+from semireg.graph import neighbor_masks
+from helpers import brute_isomorphic, random_simple_graph, reference_bfs_root, seeded_simple_graphs
 
 
 def test_named_constructions():
@@ -97,6 +98,44 @@ def test_complement():
     assert brute_isomorphic(complement(c5), c5)
     with pytest.raises(ValueError):
         complement(Graph(2, ((0, 1), (0, 1))))
+
+
+# complement as it stood with a simplicity pass and a pair set, kept
+# verbatim: the edges, their order and the error must stay the same.
+def _reference_complement(g: Graph) -> Graph:
+    if not g.is_simple():
+        raise ValueError("complement is defined for simple graphs only")
+    present = {(min(u, v), max(u, v)) for u, v in g.edges}
+    return Graph(
+        g.n,
+        tuple(
+            (u, v)
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+            if (u, v) not in present
+        ),
+    )
+
+
+def test_complement_matches_reference():
+    for g in seeded_simple_graphs(1201):
+        assert complement(g) == _reference_complement(g), g
+    multigraph = Graph(3, ((0, 1), (1, 2), (1, 0)))
+    for fn in (complement, _reference_complement):
+        with pytest.raises(ValueError, match="^complement is defined for simple graphs only$"):
+            fn(multigraph)
+
+
+def test_neighbor_masks():
+    assert neighbor_masks(Graph(0, ())) == []
+    assert neighbor_masks(path(3)) == [0b010, 0b101, 0b010]
+    assert neighbor_masks(Graph(3, ((0, 1), (2, 1), (1, 0)))) is None
+    for g in seeded_simple_graphs(1202, 12):
+        present = {frozenset(e) for e in g.edges}
+        nb = neighbor_masks(g)
+        assert [[nb[u] >> v & 1 for v in range(g.n)] for u in range(g.n)] == [
+            [int(frozenset((u, v)) in present) for v in range(g.n)] for u in range(g.n)
+        ]
 
 
 def test_bfs_root():

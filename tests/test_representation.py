@@ -22,7 +22,8 @@ from semireg import (
     serialize_representation,
     verify_representation,
 )
-from helpers import cyclic_garbage, petersen
+from semireg.representation import _coprime_mask
+from helpers import cyclic_garbage, petersen, seeded_simple_graphs
 
 
 def test_verify_representation_examples():
@@ -40,6 +41,66 @@ def test_verify_representation_errors():
         verify_representation(complete(2), Representation(2, (0,)))
 
 
+# The verifier as it stood with a simplicity pass and a pair set, kept
+# verbatim: the answer and the error must stay the same.
+def _reference_verify_representation(g: Graph, rep: Representation) -> bool:
+    """True iff adjacency coincides with label differences coprime to r."""
+    if not g.is_simple():
+        raise ValueError("representations are defined for simple graphs")
+    if len(rep.labels) != g.n:
+        raise ValueError("one label per vertex required")
+    if len(set(rep.labels)) != g.n:
+        raise ValueError("labels must be injective")
+    if any(not 0 <= lab < rep.r for lab in rep.labels):
+        raise ValueError("labels must lie in 0..r-1")
+    adjacent = {(min(u, v), max(u, v)) for u, v in g.edges}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            coprime = math.gcd(abs(rep.labels[u] - rep.labels[v]), rep.r) == 1
+            if coprime != ((u, v) in adjacent):
+                return False
+    return True
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_representation_matches_reference():
+    rng = random.Random(1203)
+    for g in seeded_simple_graphs(1204):
+        n = g.n
+        r = rng.randint(max(n, 1), 3 * n + 5)
+        labels = rng.sample(range(r), n)
+        # the graph these labels represent modulo r, and one edge away from it
+        pairs = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if math.gcd(labels[u] - labels[v], r) == 1]
+        represented = Graph(n, tuple(pairs))
+        assert verify_representation(represented, Representation(r, tuple(labels)))
+        cases = [(represented, labels), (g, labels), (Graph(n, tuple(pairs[1:])), labels),
+                 (g, labels[1:]), (g, labels + [r]), (g, labels[:-1] + [r]), (g, labels[:-1] + [-1])]
+        if n >= 2:
+            cases.append((g, labels[:-1] + labels[:1]))
+        for h, labs in cases:
+            rep = Representation(r, tuple(labs))
+            assert _outcome(verify_representation, h, rep) == \
+                _outcome(_reference_verify_representation, h, rep), (h, rep)
+    # simplicity is checked first, before the labels
+    multigraph = Graph(3, ((0, 1), (1, 2), (1, 0)))
+    for labels in ((0, 1, 2), (0, 0)):
+        for fn in (verify_representation, _reference_verify_representation):
+            with pytest.raises(ValueError, match="^representations are defined for simple graphs$"):
+                fn(multigraph, Representation(5, labels))
+
+
+def test_coprime_mask_is_the_gcd_one_set():
+    for r in range(2, 400):
+        assert _coprime_mask(r) == sum(1 << x for x in range(r) if math.gcd(x, r) == 1), r
+
+
 def test_rep_search_known_values():
     assert rep_search(complete(2), 10).r == 2
     assert rep_search(complete(3), 10).r == 3
@@ -47,6 +108,8 @@ def test_rep_search_known_values():
     found = rep_search(two_k2, 10)
     assert found.r == 6
     assert verify_representation(two_k2, found)
+    # recorded with the recursive search at the CLI's default r_max
+    assert rep_search(cycle(5), 1000) == Representation(105, (0, 1, 3, 7, 8))
 
 
 def test_rep_search_witness_is_minimal():
@@ -65,6 +128,13 @@ def test_rep_search_budgets():
         rep_search(Graph(9, ()), 10)
     with pytest.raises(BudgetError):
         rep_search(complete(2), 10**4 + 1)
+
+
+def test_rep_search_rejects_a_multigraph_before_its_budgets():
+    for g, r_max in ((Graph(3, ((0, 1), (1, 0))), 10), (Graph(9, ((0, 1), (1, 0))), 10),
+                     (Graph(2, ((0, 1), (0, 1))), 10**4 + 1)):
+        with pytest.raises(ValueError, match="^representations are defined for simple graphs$"):
+            rep_search(g, r_max)
 
 
 def test_fixing_the_first_label_loses_nothing():
@@ -199,7 +269,8 @@ def test_representation_text_roundtrip():
         parse_representation("nonsense 3")
 
 
-@pytest.mark.parametrize("text, line", [("r x\nlabels 0 1\n", 1), ("r 5\n\nlabels 0 1.5\n", 3)])
+@pytest.mark.parametrize("text, line", [("r x\nlabels 0 1\n", 1), ("r 5\n\nlabels 0 1.5\n", 3),
+                                        ("r 5\nprimes x y\nlabels 0 1 2 3 4\n", 2)])
 def test_parse_representation_names_the_line_of_a_non_integer(text, line):
     with pytest.raises(ParseError, match=f"^line {line}: "):
         parse_representation(text)
