@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from .errors import BudgetError, GadgetError, ParseError
 from .families import EdgePartition
-from .graph import Graph, classify, complete_bipartite, cycle, disjoint_union, parse_graph, path, star
+from .graph import (Graph, classify, complete_bipartite, cycle, disjoint_union, parse_graph,
+                    parse_header, path, star)
 
 
 @dataclass(frozen=True)
@@ -179,74 +180,62 @@ class ReductionResult:
 
 @dataclass(frozen=True)
 class _VariantRules:
-    clause3_gadget: str
-    clause3_port: str
-    clause2_gadget: str
-    clause2_port: str
+    clause3: tuple[str, str]  # (gadget, port) for a 3-clause
+    clause2: tuple[str, str]  # (gadget, port) for a 2-clause
     base_gadgets: tuple[str, ...]
-    extra_bases: tuple[Graph, ...]
+    extra_bases: tuple[tuple[int, int], ...]  # K_{a,b} shapes
     allowed_degrees: frozenset[int]
 
 
+_RULES = {
+    "thm2": _VariantRules(
+        clause3=("H", "a"), clause2=("I", "b"), base_gadgets=("B",),
+        extra_bases=((1, 6), (3, 6)), allowed_degrees=frozenset({1, 3, 6}),
+    ),
+    "thm3iii": _VariantRules(
+        clause3=("F", "a"), clause2=("D", "b"), base_gadgets=("P",),
+        extra_bases=(), allowed_degrees=frozenset({2, 3, 4, 6}),
+    ),
+}
+
+
 def _variant_rules(variant: str) -> _VariantRules:
-    if variant == "thm2":
-        return _VariantRules(
-            clause3_gadget="H", clause3_port="a",
-            clause2_gadget="I", clause2_port="b",
-            base_gadgets=("B",),
-            extra_bases=(complete_bipartite(1, 6), complete_bipartite(3, 6)),
-            allowed_degrees=frozenset({1, 3, 6}),
-        )
-    if variant == "thm3iii":
-        return _VariantRules(
-            clause3_gadget="F", clause3_port="a",
-            clause2_gadget="D", clause2_port="b",
-            base_gadgets=("P",),
-            extra_bases=(),
-            allowed_degrees=frozenset({2, 3, 4, 6}),
-        )
-    raise ValueError(f"unknown reduction variant {variant!r}")
+    if variant not in _RULES:
+        raise ValueError(f"unknown reduction variant {variant!r}")
+    return _RULES[variant]
 
 
 def variant_gadget_names(variant: str) -> tuple[str, ...]:
     rules = _variant_rules(variant)
-    return rules.base_gadgets + (rules.clause3_gadget, rules.clause2_gadget)
+    return rules.base_gadgets + (rules.clause3[0], rules.clause2[0])
 
 
 def parse_gadget(name: str, text: str) -> Gadget:
-    """Edge-list format with trailing "port <name> <vertex-id>" lines."""
+    """The edge-list format, then one "port <name> <vertex-id>" line per
+    port; blank lines may follow the edge block."""
     lines = text.splitlines()
-    graph_lines = []
-    port_lines = []
-    for i, line in enumerate(lines):
-        if line.split() and line.split()[0] == "port":
-            port_lines.append((i + 1, line))
-        else:
-            graph_lines.append(line)
-    graph = parse_graph("\n".join(graph_lines))
+    _, m = parse_header(lines, "n m")
+    graph = parse_graph("\n".join(lines[:m + 1]))
     ports: dict[str, int] = {}
-    for lineno, line in port_lines:
+    for lineno, line in enumerate(lines[m + 1:], m + 2):
         fields = line.split()
-        if len(fields) != 3:
+        if not fields:
+            continue
+        if len(fields) != 3 or fields[0] != "port":
             raise ParseError(f"line {lineno}: port line must be 'port name vertex'")
         try:
             vid = int(fields[2])
         except ValueError:
             raise ParseError(f"line {lineno}: port vertex must be an integer") from None
+        if fields[1] in ports:
+            raise ParseError(f"line {lineno}: port {fields[1]!r} given twice")
         ports[fields[1]] = vid
-    gadget = Gadget(name, graph, ports)
-    _validate_gadget(gadget)
-    return gadget
-
-
-def _validate_gadget(gadget: Gadget) -> None:
-    if not classify(gadget.graph).is_bipartite:
-        raise GadgetError(f"gadget {gadget.name!r} is not bipartite")
-    for pname, vid in gadget.ports.items():
-        if not 0 <= vid < gadget.graph.n:
-            raise GadgetError(
-                f"gadget {gadget.name!r}: port {pname!r} vertex {vid} out of range"
-            )
+    if not classify(graph).is_bipartite:
+        raise GadgetError(f"gadget {name!r} is not bipartite")
+    for pname, vid in ports.items():
+        if not 0 <= vid < graph.n:
+            raise GadgetError(f"gadget {name!r}: port {pname!r} vertex {vid} out of range")
+    return Gadget(name, graph, ports)
 
 
 def load_gadget_set(directory: str, variant: str) -> GadgetSet:
@@ -263,56 +252,41 @@ def load_gadget_set(directory: str, variant: str) -> GadgetSet:
             raise GadgetError(f"cannot read gadget {name!r} from {filepath}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
             raise GadgetError(f"cannot read gadget {name!r} from {filepath}: {exc}") from None
-        gadgets[name] = parse_gadget(name, text)
+        try:
+            gadgets[name] = parse_gadget(name, text)
+        except ParseError as exc:
+            raise ParseError(f"gadget {name!r} ({filepath}): {exc}") from None
     return GadgetSet(gadgets)
 
 
 def build_reduction(formula: NaeFormula, gadgets: GadgetSet, variant: str) -> ReductionResult:
     """Assemble the hardness instance for a cubic monotone formula.
 
-    Fixed base components first, one clause gadget per clause, one vertex
-    per variable, and clause-port-to-variable edges; the result must come
-    out bipartite with degrees inside the variant's allowed set, otherwise
-    the gadget data is rejected.
+    One disjoint union of the fixed base components and one clause gadget
+    per clause, then one vertex per variable and clause-port-to-variable
+    edges; the result must come out bipartite with degrees inside the
+    variant's allowed set, otherwise the gadget data is rejected.
     """
     if not formula.is_cubic_monotone:
         raise ValueError("formula must be cubic monotone (every variable in 3 clauses)")
     rules = _variant_rules(variant)
-
-    n = 0
-    edges: list[tuple[int, int]] = []
-
-    def append_graph(g: Graph) -> int:
-        nonlocal n
-        base = n
-        edges.extend((u + base, v + base) for u, v in g.edges)
-        n += g.n
-        return base
-
-    for name in rules.base_gadgets:
-        append_graph(gadgets.get(name).graph)
-    for g in rules.extra_bases:
-        append_graph(g)
-
+    pieces = [gadgets.get(name).graph for name in rules.base_gadgets]
+    pieces.extend(complete_bipartite(a, b) for a, b in rules.extra_bases)
+    n = sum(g.n for g in pieces)
     clause_ports = []
     for cl in formula.clauses:
-        gname, pname = (
-            (rules.clause3_gadget, rules.clause3_port)
-            if len(cl) == 3
-            else (rules.clause2_gadget, rules.clause2_port)
-        )
+        gname, pname = rules.clause3 if len(cl) == 3 else rules.clause2
         gadget = gadgets.get(gname)
         if pname not in gadget.ports:
             raise GadgetError(f"gadget {gname!r} lacks port {pname!r}")
-        base = append_graph(gadget.graph)
-        clause_ports.append(base + gadget.ports[pname])
-
+        clause_ports.append(n + gadget.ports[pname])
+        pieces.append(gadget.graph)
+        n += gadget.graph.n
+    union = disjoint_union(pieces)
     variable_vertices = tuple(range(n, n + formula.num_vars))
-    n += formula.num_vars
-    for port, cl in zip(clause_ports, formula.clauses):
-        edges.extend((port, variable_vertices[x]) for x in cl)
-
-    graph = Graph(n, tuple(edges))
+    graph = Graph(n + formula.num_vars, union.edges + tuple(
+        (port, variable_vertices[x]) for port, cl in zip(clause_ports, formula.clauses) for x in cl
+    ))
     if not classify(graph).is_bipartite:
         raise GadgetError("gadget data yields a non-bipartite instance")
     degs = set(graph.degrees())

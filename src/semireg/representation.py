@@ -130,11 +130,6 @@ def next_prime(m: int) -> int:
         candidate += 1
 
 
-def _has_triangle(g: Graph) -> bool:
-    nb = neighbor_masks(g)
-    return any(nb[u] & nb[v] for u, v in g.edges)
-
-
 def _crt(residues: list[int], moduli: list[int]) -> int:
     x, modulus = 0, 1
     for res, p in zip(residues, moduli):
@@ -153,12 +148,12 @@ def rep_construct(g: Graph) -> tuple[Representation, PrimePlan]:
     unique lift of the residue vector modulo the product of the primes.
     """
     h = complement(g)
-    degs = h.degrees() if h.n else []
     if h.n == 0:
         raise ValueError("empty graph")
-    if len(set(degs)) > 1:
+    nb = neighbor_masks(h)  # the complement is simple, so never None
+    if len(set(map(int.bit_count, nb))) > 1:
         raise ValueError("complement is not regular")
-    if _has_triangle(h):
+    if any(nb[u] & nb[v] for u, v in h.edges):
         raise ValueError("complement is not triangle-free")
     n = g.n
 
@@ -214,8 +209,9 @@ def serialize_representation(rep: Representation, plan: Optional[PrimePlan] = No
 
 
 def parse_representation(text: str) -> Representation:
-    r = None
-    labels = None
+    """An "r" line, an optional "primes" line and a "labels" line, each at
+    most once, in any order; blank lines are skipped."""
+    seen: dict[str, tuple[int, ...]] = {}
     for i, line in enumerate(text.splitlines()):
         fields = line.split()
         if not fields:
@@ -227,10 +223,9 @@ def parse_representation(text: str) -> Representation:
             values = tuple(map(int, fields[1:]))
         except ValueError:
             raise ParseError(f"line {i + 1}: {key} values must be integers") from None
-        if key == "r":
-            (r,) = values
-        elif key == "labels":
-            labels = values
-    if r is None or labels is None:
+        if key in seen:
+            raise ParseError(f"line {i + 1}: second {key!r} line")
+        seen[key] = values
+    if "r" not in seen or "labels" not in seen:
         raise ParseError("representation needs an 'r' line and a 'labels' line")
-    return Representation(r, labels)
+    return Representation(seen["r"][0], seen["labels"])

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import shutil
 
 import pytest
 
@@ -195,6 +196,21 @@ def test_reduce_gadget_not_utf8_names_the_file(tmp_path, capsys):
     assert err[0].startswith(f"input error: cannot read gadget 'B' from {gadget_dir / 'B.gadget'}: 'utf-8' codec")
 
 
+def test_reduce_malformed_gadget_names_the_file(tmp_path, capsys):
+    formula = tmp_path / "f.nae"
+    formula.write_text("0 1 2\n0 1 2\n0 1 2\n")
+    gadget_dir = tmp_path / "gadgets"
+    gadget_dir.mkdir()
+    for name in ("B", "I"):
+        shutil.copy(os.path.join(GADGETS_DIR, "thm2", f"{name}.gadget"), gadget_dir)
+    (gadget_dir / "H.gadget").write_text("3 2\n0 1\nport a 0\n1 x\n")
+    assert run(["reduce", str(formula), "--variant", "thm2", "--gadgets", str(gadget_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = [line for line in captured.err.splitlines() if not line.startswith("elapsed: ")]
+    assert err == [f"input error: gadget 'H' ({gadget_dir / 'H.gadget'}): line 3: edge line must be 'u v'"]
+
+
 def test_graph_file_not_utf8_names_the_file(tmp_path, capsys):
     bad = tmp_path / "g.txt"
     bad.write_bytes(b"\xff\xfe2 1\n0 1\n")
@@ -258,6 +274,16 @@ def test_rep_verify_non_integer_prime_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "input error: line 2: primes values must be integers" in captured.err
+
+
+def test_rep_verify_repeated_line_is_input_error(tmp_path, capsys):
+    gfile = _write_graph(tmp_path, cycle(5))
+    rep_file = tmp_path / "rep.txt"
+    rep_file.write_text("r 5\nlabels 0 1 2 3 4\nr 7\n")
+    assert run(["rep", "verify", gfile, "--rep", str(rep_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: line 3: second 'r' line" in captured.err
 
 
 def test_malformed_graph_is_input_error(tmp_path):

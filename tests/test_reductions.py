@@ -1,6 +1,7 @@
 import itertools
 import random
 import os
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,6 +12,7 @@ from semireg import (
     Graph,
     NaeFormula,
     ParseError,
+    ReductionResult,
     build_reduction,
     classify,
     complete,
@@ -122,6 +124,24 @@ def test_parse_gadget():
         parse_gadget("X", "2 1\n0 1\nport a 5")  # port out of range
     with pytest.raises(ParseError):
         parse_gadget("X", "2 1\n0 1\nport a")  # malformed port line
+
+
+@pytest.mark.parametrize("text, message", [
+    # a port line inside the edge block is a malformed edge line
+    ("3 2\n0 1\nport a 0\n1 x\n", "line 3: edge line must be 'u v'"),
+    # content after the ports is named on its own line
+    ("3 2\n0 1\n1 2\nport a 0\n\n7 7\n", "line 6: port line must be 'port name vertex'"),
+    ("5 3\n0 1\n0 2\n0 3\nport a 4\nport a 0\n", "line 6: port 'a' given twice"),
+], ids=["port-line-among-edges", "content-after-ports", "repeated-port"])
+def test_parse_gadget_names_the_real_line(text, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_gadget("H", text)
+
+
+def test_parse_gadget_allows_blank_lines_after_the_edges():
+    gadget = parse_gadget("H", "5 3\n0 1\n0 2\n0 3\n\nport a 4\n  \nport t 0\n\n")
+    assert gadget.graph == Graph(5, ((0, 1), (0, 2), (0, 3)))
+    assert gadget.ports == {"a": 4, "t": 0}
 
 
 def test_load_gadget_set_missing_file(tmp_path):
@@ -272,3 +292,113 @@ def test_nae_backtracking_matches_old_enumeration():
         assert got == _old_nae_bruteforce(f)
         unsat += got is None
     assert 100 < unsat < len(formulas) - 100
+
+
+@dataclass(frozen=True)
+class _OldVariantRules:
+    clause3_gadget: str
+    clause3_port: str
+    clause2_gadget: str
+    clause2_port: str
+    base_gadgets: tuple[str, ...]
+    extra_bases: tuple[Graph, ...]
+    allowed_degrees: frozenset[int]
+
+
+def _old_variant_rules(variant):
+    # verbatim copy of the rules before they became one table
+    if variant == "thm2":
+        return _OldVariantRules(
+            clause3_gadget="H", clause3_port="a",
+            clause2_gadget="I", clause2_port="b",
+            base_gadgets=("B",),
+            extra_bases=(complete_bipartite(1, 6), complete_bipartite(3, 6)),
+            allowed_degrees=frozenset({1, 3, 6}),
+        )
+    if variant == "thm3iii":
+        return _OldVariantRules(
+            clause3_gadget="F", clause3_port="a",
+            clause2_gadget="D", clause2_port="b",
+            base_gadgets=("P",),
+            extra_bases=(),
+            allowed_degrees=frozenset({2, 3, 4, 6}),
+        )
+    raise ValueError(f"unknown reduction variant {variant!r}")
+
+
+def _old_build_reduction(formula, gadgets, variant):
+    # verbatim copy of the builder before it used disjoint_union
+    if not formula.is_cubic_monotone:
+        raise ValueError("formula must be cubic monotone (every variable in 3 clauses)")
+    rules = _old_variant_rules(variant)
+
+    n = 0
+    edges: list[tuple[int, int]] = []
+
+    def append_graph(g: Graph) -> int:
+        nonlocal n
+        base = n
+        edges.extend((u + base, v + base) for u, v in g.edges)
+        n += g.n
+        return base
+
+    for name in rules.base_gadgets:
+        append_graph(gadgets.get(name).graph)
+    for g in rules.extra_bases:
+        append_graph(g)
+
+    clause_ports = []
+    for cl in formula.clauses:
+        gname, pname = (
+            (rules.clause3_gadget, rules.clause3_port)
+            if len(cl) == 3
+            else (rules.clause2_gadget, rules.clause2_port)
+        )
+        gadget = gadgets.get(gname)
+        if pname not in gadget.ports:
+            raise GadgetError(f"gadget {gname!r} lacks port {pname!r}")
+        base = append_graph(gadget.graph)
+        clause_ports.append(base + gadget.ports[pname])
+
+    variable_vertices = tuple(range(n, n + formula.num_vars))
+    n += formula.num_vars
+    for port, cl in zip(clause_ports, formula.clauses):
+        edges.extend((port, variable_vertices[x]) for x in cl)
+
+    graph = Graph(n, tuple(edges))
+    if not classify(graph).is_bipartite:
+        raise GadgetError("gadget data yields a non-bipartite instance")
+    degs = set(graph.degrees())
+    if not degs <= rules.allowed_degrees:
+        raise GadgetError(
+            f"gadget data yields degrees {sorted(degs - rules.allowed_degrees)} "
+            f"outside {sorted(rules.allowed_degrees)}"
+        )
+    return ReductionResult(graph, variable_vertices, tuple(clause_ports))
+
+
+def _random_cubic_formula(num_vars, rng):
+    """Every variable in exactly three clauses of sizes 2 and 3; a clause
+    may repeat a variable."""
+    occurrences = [x for x in range(num_vars) for _ in range(3)]
+    rng.shuffle(occurrences)
+    clauses = []
+    while occurrences:
+        left = len(occurrences)
+        size = left if left in (2, 3) else 2 if left == 4 else rng.choice((2, 3))
+        clauses.append(tuple(occurrences[:size]))
+        del occurrences[:size]
+    return NaeFormula(num_vars, tuple(clauses))
+
+
+@pytest.mark.parametrize("variant", ["thm2", "thm3iii"])
+def test_build_reduction_matches_old_builder(variant):
+    gadgets = load_gadget_set(os.path.join(GADGETS_DIR, variant), variant)
+    rng = random.Random(14)
+    formulas = [NaeFormula(0, ()), _cubic_3clause_formula(), _cubic_2clause_formula()]
+    formulas += [_random_cubic_formula(rng.randrange(1, 30), rng) for _ in range(40)]
+    for f in formulas:
+        got, want = build_reduction(f, gadgets, variant), _old_build_reduction(f, gadgets, variant)
+        assert got.graph == want.graph
+        assert got.variable_vertices == want.variable_vertices
+        assert got.clause_ports == want.clause_ports

@@ -251,10 +251,15 @@ def test_rep_construct_single_matching_complement():
 
 
 def test_rep_construct_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^complement is not triangle-free$"):
         rep_construct(complement(complete(3)))  # complement K3 has a triangle
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^complement is not regular$"):
         rep_construct(complement(path(3)))  # complement P3 is not regular
+    with pytest.raises(ValueError, match="^empty graph$"):
+        rep_construct(Graph(0, ()))
+    # complement K3 + K1 fails both tests; regularity is checked first
+    with pytest.raises(ValueError, match="^complement is not regular$"):
+        rep_construct(complement(Graph(4, ((0, 1), (1, 2), (0, 2)))))
 
 
 def test_representation_text_roundtrip():
@@ -273,4 +278,14 @@ def test_representation_text_roundtrip():
                                         ("r 5\nprimes x y\nlabels 0 1 2 3 4\n", 2)])
 def test_parse_representation_names_the_line_of_a_non_integer(text, line):
     with pytest.raises(ParseError, match=f"^line {line}: "):
+        parse_representation(text)
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("r 5\nlabels 0 1\nr 7\nlabels 0 2 4\n", 3, "r"),
+    ("r 5\nprimes 2 3\n\nprimes 5 7\nlabels 0 1\n", 4, "primes"),
+    ("labels 0 1\nr 5\nlabels 0 2\n", 3, "labels"),
+], ids=["r", "primes", "labels"])
+def test_parse_representation_rejects_a_repeated_line(text, line, key):
+    with pytest.raises(ParseError, match=f"^line {line}: second '{key}' line$"):
         parse_representation(text)
