@@ -5,7 +5,6 @@ constructions, and representation-number tools."""
 from .coloring import (
     ProperEdgeColoring,
     TwoFactorization,
-    bipartite_color,
     four_regularize,
     sr_general,
     two_factorize,

@@ -1,24 +1,24 @@
-"""Proper edge coloring and factorization constructions.
+"""Proper edge coloring and the degree-at-most-4 split.
 
-bipartite_color gives an exact max-degree coloring of bipartite graphs by
-alternating-path recoloring; vizing colors any simple graph with at most
-max_degree + 1 colors by fan rotation, which powers the general
-semiregular bound.  Both keep a partial coloring as a flat list of edge
-colors plus one color -> edge dict per vertex, and find free colors and
-fan edges with C-level scans (``filterfalse`` over dict membership), not
-a Python call per candidate.  two_factorize splits a 2k-regular multigraph
-into k spanning 2-regular factors by Euler-circuit 2-factorization:
-alternation at degree 4, Konig colouring of the out/in incidence graph
-otherwise.  It powers the degree-at-most-4 weakly semiregular split.
+vizing colors any simple graph with at most max_degree + 1 colors by fan
+rotation, which powers the general semiregular bound.  It keeps a partial
+coloring as a flat list of edge colors plus one color -> edge dict per
+vertex, and finds free colors and fan edges with C-level scans
+(``filterfalse`` over dict membership), not a Python call per candidate.
+wr2_deg4 splits a graph of maximum degree at most 4 into two parts with
+degrees in {1, 2} in linear time, by alternating labels along Euler
+circuits of the input plus one dummy vertex; two_factorize is the
+4-regular case of the same walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import chain, filterfalse
+from typing import Iterable
 
 from .families import EdgePartition
-from .graph import Graph, classify
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ def _recolor(edges, ecol: list[int], at: list[dict[int, int]], eids, colors) -> 
         at[v][c] = e
 
 
-def _flip(edges, ecol: list[int], at: list[dict[int, int]], start: int, first: int, second: int) -> int:
+def _flip(edges, ecol: list[int], at: list[dict[int, int]], start: int, first: int, second: int) -> None:
     """Swap colors first and second on the maximal path out of ``start``
-    that alternates them, first-colored edge first; returns its far end."""
+    that alternates them, first-colored edge first."""
     path = []
     v, want, then = start, first, second
     while want in at[v]:
@@ -63,36 +63,6 @@ def _flip(edges, ecol: list[int], at: list[dict[int, int]], start: int, first: i
         v = b if a == v else a
         want, then = then, want
     _recolor(edges, ecol, at, path, [second if ecol[e] == first else first for e in path])
-    return v
-
-
-def bipartite_color(g: Graph) -> ProperEdgeColoring:
-    """Proper edge coloring of a bipartite graph with exactly max-degree colors.
-
-    Edges are colored in id order: (u, v) takes the smallest color a free
-    at u, after flipping the a/b path out of v if the smallest color b free
-    at v differs.  Each smallest free color is one C-level scan of
-    range(max_degree), one dict lookup per color tried.
-    """
-    if not classify(g).is_bipartite:
-        raise ValueError("graph is not bipartite")
-    delta = max(g.degrees(), default=0)
-    if g.m == 0:
-        return ProperEdgeColoring((), 0)
-    edges = g.edges
-    ecol = [-1] * g.m
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]
-    palette = range(delta)
-    for e, (u, v) in enumerate(edges):
-        a = next(filterfalse(at[u].__contains__, palette))
-        b = next(filterfalse(at[v].__contains__, palette))
-        if a != b:
-            # The path cannot reach u: it would arrive on a b-edge, forcing
-            # u and v onto the same side.
-            end = _flip(edges, ecol, at, v, a, b)
-            assert end != u, "alternating path closed on the new edge"
-        _recolor(edges, ecol, at, (e,), (a,))
-    return ProperEdgeColoring(tuple(ecol), delta)
 
 
 def vizing(g: Graph) -> ProperEdgeColoring:
@@ -159,79 +129,59 @@ def vizing(g: Graph) -> ProperEdgeColoring:
     return ProperEdgeColoring(tuple(ecol), max(len(set(ecol)), max(ecol) + 1))
 
 
-def _euler_circuit_arcs(g: Graph) -> list[tuple[int, int, int]]:
-    """Orient all edges along per-component Euler circuits.
-
-    Returns arcs (tail, head, edge id); every vertex ends up with equal
-    in- and out-degree.  Each component's arcs are contiguous and in
-    circuit order, the head of one arc being the tail of the next.
-    Requires all degrees even.
+def _euler_circuits(edges, incident: list[list[int]], starts: Iterable[int]) -> list[list[int]]:
+    """Edge ids of one Euler circuit per component of an all-even-degree
+    graph, each in circuit order, by Hierholzer's walk with an explicit
+    stack.  ``incident[v]`` lists the edge ids at v; the walk leaves v by
+    its first unused one.  A component's circuit starts at its first vertex
+    in ``starts``, which must list every vertex that has edges.
     """
-    adj = g.adjacency()
-    used = [False] * g.m
-    ptr = [0] * g.n
-    arcs: list[tuple[int, int, int]] = []
-    for start in range(g.n):
-        if ptr[start] >= len(adj[start]):
-            continue
-        if all(used[e] for _, e in adj[start]):
-            continue
-        stack = [(start, -1)]
-        verts: list[int] = []
-        eids: list[int] = []
+    used = [False] * len(edges)
+    ptr = [0] * len(incident)
+    circuits = []
+    for start in starts:
+        stack = [start]
+        entered = [-1]  # entered[i]: the edge the walk took into stack[i]
+        circuit: list[int] = []
         while stack:
-            v, ein = stack[-1]
-            advanced = False
-            while ptr[v] < len(adj[v]):
-                w, e = adj[v][ptr[v]]
-                ptr[v] += 1
-                if not used[e]:
-                    used[e] = True
-                    stack.append((w, e))
-                    advanced = True
-                    break
-            if not advanced:
+            v = stack[-1]
+            row = incident[v]
+            i, k = ptr[v], len(row)
+            while i < k and used[row[i]]:
+                i += 1
+            if i < k:
+                e = row[i]
+                ptr[v] = i + 1
+                used[e] = True
+                a, b = edges[e]
+                stack.append(b if a == v else a)
+                entered.append(e)
+            else:
+                ptr[v] = i
                 stack.pop()
-                verts.append(v)
-                eids.append(ein)
-        verts.reverse()
-        eids.reverse()
-        # verts[0] == verts[-1] == start; eids[i] entered verts[i]
-        arcs.extend(
-            (verts[i], verts[i + 1], eids[i + 1]) for i in range(len(verts) - 1)
-        )
-    return arcs
+                circuit.append(entered.pop())
+        if len(circuit) > 1:
+            circuits.append(circuit[-2::-1])  # reversed, without the start's -1
+    return circuits
 
 
 def two_factorize(g: Graph) -> TwoFactorization:
-    """Split a 2k-regular multigraph into k spanning 2-regular factors.
+    """Split a 4-regular multigraph into two spanning 2-regular factors.
 
-    Per component: Euler circuit -> orientation with in-degree =
-    out-degree = k.  At degree 4 each circuit has even length (a component
-    has twice as many edges as vertices), so alternate arcs of it form the
-    two factors.  At any other degree the
-    out/in incidence graph is k-regular bipartite, and each colour class of
-    its Konig colouring is a perfect matching pulling back to a 2-factor.
+    Each component has twice as many edges as vertices, so its Euler
+    circuit has even length and alternate edges of it form the two
+    factors.  Circuits start at the least vertex of each component and
+    leave every vertex by its first unused edge in ``adjacency`` order.
     """
     deg = g.degrees()
     if g.n == 0 or g.m == 0:
         raise ValueError("graph must have edges")
-    values = set(deg)
-    if len(values) != 1:
-        raise ValueError("graph is not regular")
-    d = values.pop()
-    if d == 0 or d % 2 != 0:
-        raise ValueError("degree must be positive and even")
-    arcs = _euler_circuit_arcs(g)
-    assert len(arcs) == g.m
-    if d == 4:
-        rounds = [[e for _, _, e in arcs[0::2]], [e for _, _, e in arcs[1::2]]]
-    else:
-        incidence = Graph(2 * g.n, tuple((t, g.n + h) for t, h, _ in arcs))
-        rounds = [[] for _ in range(d // 2)]
-        for (_, _, e), c in zip(arcs, bipartite_color(incidence).colors):
-            rounds[c].append(e)
-    return TwoFactorization(tuple(tuple(sorted(r)) for r in rounds))
+    if set(deg) != {4}:
+        raise ValueError("graph is not 4-regular")
+    circuits = _euler_circuits(g.edges, [[e for _, e in row] for row in g.adjacency()], range(g.n))
+    return TwoFactorization(tuple(
+        tuple(sorted(e for c in circuits for e in c[side::2])) for side in (0, 1)
+    ))
 
 
 def four_regularize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -265,11 +215,35 @@ def four_regularize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 def wr2_deg4(g: Graph) -> EdgePartition:
     """Split a graph with maximum degree <= 4 (minimum >= 1) into two parts
-    whose degree sets lie in {1, 2}."""
-    host, embed = four_regularize(g)
-    factors = two_factorize(host)
-    first = set(factors.factors[0])
-    return EdgePartition(2, tuple(0 if embed[e] in first else 1 for e in range(g.m)))
+    whose degree sets lie in {1, 2}, in linear time.
+
+    A dummy vertex n joined to every odd-degree vertex makes all degrees
+    even, and each edge takes the parity of its position on its component's
+    Euler circuit.  An input vertex now has degree 2 or 4, so its circuit
+    passes it once or twice, each pass entering on one parity and leaving
+    on the other: no part gets more than two of its edges.  Only a
+    circuit's closing pass can repeat a parity, which is harmless at the
+    dummy, at a degree-2 vertex and on a 4-regular component (its circuit
+    has even length).  So circuits start at the dummy, then at degree-2
+    vertices, then anywhere.
+    """
+    deg = g.degrees()
+    if g.n == 0 or min(deg) < 1:
+        raise ValueError("graph must have minimum degree >= 1")
+    if max(deg) > 4:
+        raise ValueError("maximum degree exceeds 4")
+    n = g.n
+    edges = g.edges + tuple((v, n) for v in range(n) if deg[v] & 1)
+    incident: list[list[int]] = [[] for _ in range(n + 1)]
+    for e, (u, v) in enumerate(edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    starts = chain((n,), (v for v in range(n) if deg[v] == 2), range(n))
+    part = [0] * len(edges)
+    for circuit in _euler_circuits(edges, incident, starts):
+        for e in circuit[1::2]:
+            part[e] = 1
+    return EdgePartition(2, tuple(part[:g.m]))
 
 
 def sr_general(g: Graph) -> EdgePartition:

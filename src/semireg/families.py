@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import ParseError
-from .graph import Graph, parse_header
+from .graph import Graph, number_reader, parse_header
 
 
 class Family(enum.Enum):
@@ -135,13 +135,14 @@ def parse_partition(text: str) -> EdgePartition:
     if m > len(lines) - 1:
         raise ParseError(f"line {len(lines) + 1}: expected {m} assignments, input ended early")
     part: list[int | None] = [None] * m
+    num = number_reader(text)
     for i in range(m):
         lineno = i + 2
         fields = lines[lineno - 1].split()
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: assignment line must be 'edge_id part_id'")
         try:
-            e, q = int(fields[0]), int(fields[1])
+            e, q = num(fields[0]), num(fields[1])
         except ValueError:
             raise ParseError(f"line {lineno}: assignment must be two integers") from None
         if not 0 <= e < m:

@@ -8,10 +8,11 @@ are not.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ParseError
 
@@ -295,6 +296,25 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
 # text formats
 # ---------------------------------------------------------------------------
 
+_NUMBER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(token: str) -> int:
+    """A number token of every text format: ASCII digits after an optional
+    '-' (``int`` alone also reads "+3", "1_2" and non-ASCII digits)."""
+    if _NUMBER.fullmatch(token) is None:
+        raise ValueError(f"not a number: {token!r}")
+    return int(token)
+
+
+def number_reader(text: str) -> Callable[[str], int]:
+    """The converter for the number tokens of ``text``: plain ``int`` when
+    ``text`` holds nothing that ``int`` reads but ``parse_int`` rejects, so
+    long inputs skip the per-token match, else ``parse_int``."""
+    plain = text.isascii() and "+" not in text and "_" not in text
+    return int if plain else parse_int
+
+
 def parse_header(lines: list[str], shape: str) -> tuple[int, int]:
     """The two nonnegative counts on line 1 of a text format whose header
     is ``shape``, such as "n m"."""
@@ -304,7 +324,7 @@ def parse_header(lines: list[str], shape: str) -> tuple[int, int]:
     if len(head) != 2:
         raise ParseError(f"line 1: header must be '{shape}'")
     try:
-        a, b = int(head[0]), int(head[1])
+        a, b = parse_int(head[0]), parse_int(head[1])
     except ValueError:
         raise ParseError("line 1: header must be two integers") from None
     if a < 0 or b < 0:
@@ -322,8 +342,9 @@ def parse_graph(text: str) -> Graph:
     n, m = parse_header(lines, "n m")
     if len(lines) <= m:
         raise _edge_line_error(lines, n, m)
+    num = number_reader(text)
     try:
-        g = Graph(n, tuple([(int(u), int(v)) for u, v in map(str.split, lines[1:m + 1])]))
+        g = Graph(n, tuple([(num(u), num(v)) for u, v in map(str.split, lines[1:m + 1])]))
     except ValueError:
         raise _edge_line_error(lines, n, m) from None
     if any(map(str.strip, lines[m + 1:])):
@@ -340,7 +361,7 @@ def _edge_line_error(lines: list[str], n: int, m: int) -> ParseError:
         if len(parts) != 2:
             return ParseError(f"line {lineno}: edge line must be 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_int(parts[0]), parse_int(parts[1])
         except ValueError:
             return ParseError(f"line {lineno}: edge endpoints must be integers")
         if not (0 <= u < n and 0 <= v < n):

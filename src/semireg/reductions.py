@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import BudgetError, GadgetError, ParseError
 from .families import EdgePartition
 from .graph import (Graph, classify, complete_bipartite, cycle, disjoint_union, parse_graph,
-                    parse_header, path, star)
+                    parse_header, parse_int, path, star)
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def parse_nae(text: str) -> NaeFormula:
         ids = []
         for tok in line.split():
             try:
-                x = int(tok)
+                x = parse_int(tok)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad variable token {tok!r}") from None
             if x < 0:
@@ -224,7 +224,7 @@ def parse_gadget(name: str, text: str) -> Gadget:
         if len(fields) != 3 or fields[0] != "port":
             raise ParseError(f"line {lineno}: port line must be 'port name vertex'")
         try:
-            vid = int(fields[2])
+            vid = parse_int(fields[2])
         except ValueError:
             raise ParseError(f"line {lineno}: port vertex must be an integer") from None
         if fields[1] in ports:
@@ -287,14 +287,15 @@ def build_reduction(formula: NaeFormula, gadgets: GadgetSet, variant: str) -> Re
     graph = Graph(n + formula.num_vars, union.edges + tuple(
         (port, variable_vertices[x]) for port, cl in zip(clause_ports, formula.clauses) for x in cl
     ))
-    if not classify(graph).is_bipartite:
-        raise GadgetError("gadget data yields a non-bipartite instance")
+    # the one-pass degree test first: classify sorts every adjacency list
     degs = set(graph.degrees())
     if not degs <= rules.allowed_degrees:
         raise GadgetError(
             f"gadget data yields degrees {sorted(degs - rules.allowed_degrees)} "
             f"outside {sorted(rules.allowed_degrees)}"
         )
+    if not classify(graph).is_bipartite:
+        raise GadgetError("gadget data yields a non-bipartite instance")
     return ReductionResult(graph, variable_vertices, tuple(clause_ports))
 
 

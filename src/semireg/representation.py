@@ -16,7 +16,7 @@ from typing import Optional
 
 from .coloring import vizing
 from .errors import BudgetError, ParseError
-from .graph import Graph, complement, neighbor_masks
+from .graph import Graph, complement, neighbor_masks, parse_int
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def parse_representation(text: str) -> Representation:
         if key not in ("r", "primes", "labels") or key == "r" and len(fields) != 2:
             raise ParseError(f"line {i + 1}: unrecognized representation line")
         try:
-            values = tuple(map(int, fields[1:]))
+            values = tuple(map(parse_int, fields[1:]))
         except ValueError:
             raise ParseError(f"line {i + 1}: {key} values must be integers") from None
         if key in seen:

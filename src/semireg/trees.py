@@ -106,37 +106,36 @@ def vertex_feasible(
 
 def _assign_exact(slots: int, forbidden: Sequence[Collection[int]], capacity: list[int]) -> Optional[list[int]]:
     """Assign each slot one color, exactly ``capacity[k]`` slots per color."""
-    c = len(capacity)
     color_of = [-1] * slots
-    holders: list[list[int]] = [[] for _ in range(c)]
+    holders: list[list[int]] = [[] for _ in capacity]
+    for slot in range(slots):
+        if not _place(slot, set(), forbidden, capacity, holders, color_of):
+            return None
+    return color_of
 
-    def place(slot: int, visited: set[int]) -> bool:
-        # prefer free capacity on the smallest color, then reroute
-        for k in range(c):
-            if k in forbidden[slot]:
-                continue
-            if len(holders[k]) < capacity[k]:
-                holders[k].append(slot)
+
+def _place(slot: int, visited: set[int], forbidden: Sequence[Collection[int]], capacity: list[int],
+           holders: list[list[int]], color_of: list[int]) -> bool:
+    """Give ``slot`` a color for ``_assign_exact``: free capacity on the
+    smallest color, else reroute a holder of an unvisited color."""
+    c = len(capacity)
+    for k in range(c):
+        if k in forbidden[slot]:
+            continue
+        if len(holders[k]) < capacity[k]:
+            holders[k].append(slot)
+            color_of[slot] = k
+            return True
+    for k in range(c):
+        if capacity[k] == 0 or k in visited or k in forbidden[slot]:
+            continue
+        visited.add(k)
+        for idx, other in enumerate(holders[k]):
+            if _place(other, visited, forbidden, capacity, holders, color_of):
+                holders[k][idx] = slot
                 color_of[slot] = k
                 return True
-        for k in range(c):
-            if capacity[k] == 0 or k in visited or k in forbidden[slot]:
-                continue
-            visited.add(k)
-            for idx, other in enumerate(holders[k]):
-                if place(other, visited):
-                    holders[k][idx] = slot
-                    color_of[slot] = k
-                    return True
-        return False
-
-    try:
-        for slot in range(slots):
-            if not place(slot, set()):
-                return None
-        return color_of
-    finally:
-        del place  # place refers to itself through its closure cell: a cycle
+    return False
 
 
 def _require_rooted(t: Graph | RootedTree) -> RootedTree:

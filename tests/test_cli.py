@@ -553,11 +553,11 @@ _GOLDEN_CLI_RUNS = [
         "c33e0ab3619c73d62f46ec9745f2052372d0abd6901b0b6d82a39d71533a927d",
         id="decompose-sr-general-long-fans",
     ),
-    pytest.param(
+    pytest.param(  # --out recorded from the Euler-circuit split of the input itself
         ["decompose", "{g}", "--method", "wr2-deg4", "--out", "{out}"],
         lambda: {"g": serialize_graph(random_deg4_graph(40, random.Random(22)))}, 0,
         "578bd9957c0a79d609e941e0d7ba2f0db752102193501833e2bcfd499dd0fb77",
-        "5b9e8958ef4c4a63fd747d92f8a987f3e476bed011866dbfcaaa941ce7350e2d",
+        "99c150ff40d631d13f9a7cb8dec84f0a71945da18968ebdff3de5bfb82dfabdb",
         id="decompose-wr2-deg4",
     ),
     pytest.param(  # two perfect matchings of a 6-cycle

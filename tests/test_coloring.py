@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import semireg.coloring
 
 from semireg import (
     Family,
     Graph,
     ProperEdgeColoring,
-    bipartite_color,
-    classify,
     complete,
     complete_bipartite,
     cycle,
@@ -21,7 +22,6 @@ from semireg import (
     vizing,
     wr2_deg4,
 )
-from semireg.coloring import _euler_circuit_arcs
 from helpers import (
     edge_chromatic_feasible,
     is_proper_coloring,
@@ -31,42 +31,6 @@ from helpers import (
     random_simple_graph,
     random_tree,
 )
-
-
-def _random_bipartite(rng, a, b, m):
-    pairs = [(u, a + v) for u in range(a) for v in range(b)]
-    rng.shuffle(pairs)
-    return Graph(a + b, tuple(pairs[:m]))
-
-
-def test_bipartite_color_examples():
-    for g, expected in ((complete_bipartite(3, 3), 3), (path(4), 2), (cycle(6), 2)):
-        col = bipartite_color(g)
-        assert col.num_colors == expected
-        assert is_proper_coloring(g, col.colors)
-
-
-def test_bipartite_color_rejects_odd_cycle():
-    with pytest.raises(ValueError):
-        bipartite_color(cycle(5))
-
-
-def test_bipartite_color_random_is_exact():
-    rng = random.Random(101)
-    for _ in range(60):
-        a, b = rng.randrange(1, 8), rng.randrange(1, 8)
-        g = _random_bipartite(rng, a, b, rng.randrange(1, a * b + 1))
-        col = bipartite_color(g)
-        assert is_proper_coloring(g, col.colors)
-        assert col.num_colors == max(g.degrees())
-        assert len(set(col.colors)) <= col.num_colors
-
-
-def test_bipartite_color_handles_parallel_edges():
-    g = Graph(4, ((0, 2), (0, 2), (1, 3), (0, 3)))
-    col = bipartite_color(g)
-    assert is_proper_coloring(g, col.colors)
-    assert col.num_colors == 3
 
 
 def test_vizing_examples():
@@ -116,20 +80,10 @@ def _check_two_factorization(g, tf):
 
 
 def test_two_factorize_examples():
-    c6 = cycle(6)
-    tf = two_factorize(c6)
-    assert len(tf.factors) == 1
-    assert set(tf.factors[0]) == set(range(6))
-
     k5 = complete(5)
     tf = two_factorize(k5)
     assert len(tf.factors) == 2
     _check_two_factorization(k5, tf)
-
-    two_triangles = disjoint_union([cycle(3), cycle(3)])
-    tf = two_factorize(two_triangles)
-    assert len(tf.factors) == 1
-    _check_two_factorization(two_triangles, tf)
 
     # 4-regular with two components: each circuit must have even length
     doubled = Graph(3, ((0, 1), (1, 2), (2, 0)) * 2)
@@ -155,17 +109,6 @@ def _hamiltonian_cycle_union(n, k, rng):
     return Graph(n, tuple(edges))
 
 
-def test_two_factorize_degrees_other_than_four():
-    rng = random.Random(109)
-    graphs = [complete(7), complete(9), Graph(3, ((0, 1), (1, 2), (2, 0)) * 3)]
-    for k in (3, 4):
-        graphs.extend(_hamiltonian_cycle_union(rng.randrange(3, 40), k, rng) for _ in range(20))
-    for g in graphs:
-        tf = two_factorize(g)
-        assert len(tf.factors) == g.degrees()[0] // 2
-        _check_two_factorization(g, tf)
-
-
 def test_two_factorize_errors():
     with pytest.raises(ValueError):
         two_factorize(cycle(5).__class__(4, ((0, 1), (1, 2), (2, 3))))  # path: degrees 1,2
@@ -173,6 +116,14 @@ def test_two_factorize_errors():
         two_factorize(complete(4))  # 3-regular: odd degree
     with pytest.raises(ValueError):
         two_factorize(Graph(3, ()))  # no edges
+    with pytest.raises(ValueError):
+        two_factorize(cycle(6))  # 2-regular
+    with pytest.raises(ValueError):
+        two_factorize(disjoint_union([cycle(3), cycle(3)]))  # 2-regular, two components
+    with pytest.raises(ValueError):
+        two_factorize(complete(7))  # 6-regular
+    with pytest.raises(ValueError):
+        two_factorize(_hamiltonian_cycle_union(9, 3, random.Random(109)))  # 6-regular multigraph
 
 
 def test_four_regularize():
@@ -212,8 +163,8 @@ def test_wr2_deg4_examples():
 def test_wr2_deg4_random():
     rng = random.Random(107)
     graphs = [random_deg4_graph(rng.randrange(2, 25), rng) for _ in range(60)]
-    # connected and path-like, so the Euler circuit of the 4-regular host
-    # runs thousands of arcs long; the last graph has about 10^5 edges
+    # connected and path-like, so the Euler circuit runs thousands of edges
+    # long; the last graph has about 10^5 edges
     graphs.append(random_path_deg4_graph(3000, rng))
     graphs.append(random_path_deg4_graph(56000, rng))
     for g in graphs:
@@ -221,6 +172,134 @@ def test_wr2_deg4_random():
         for i in range(2):
             degs = set(d for d in part_subgraph(g, p, i).degrees() if d)
             assert degs <= {1, 2}
+
+
+def _is_deg4_split(g, p):
+    return p.k == 2 and all(
+        set(d for d in part_subgraph(g, p, i).degrees() if d) <= {1, 2} for i in range(2)
+    )
+
+
+def _raise(*args):
+    raise AssertionError("wr2_deg4 must not build a host")
+
+
+def test_wr2_deg4_builds_no_host(monkeypatch):
+    monkeypatch.setattr(semireg.coloring, "four_regularize", _raise)
+    monkeypatch.setattr(semireg.coloring, "two_factorize", _raise)
+    for g in (complete(5), path(2), random_deg4_graph(30, random.Random(5))):
+        assert _is_deg4_split(g, wr2_deg4(g))
+
+
+def _deg4_multigraph(n, pairs):
+    """The pairs (u != v) kept while both ends stay at degree <= 4, with
+    isolated vertices dropped: a multigraph with every degree in 1..4."""
+    deg = [0] * n
+    edges = []
+    for u, v in pairs:
+        if deg[u] < 4 and deg[v] < 4:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    keep = {v: i for i, v in enumerate(v for v in range(n) if deg[v])}
+    return Graph(len(keep), tuple((keep[u], keep[v]) for u, v in edges))
+
+
+def test_wr2_deg4_seeded_sweep():
+    rng = random.Random(115)
+    graphs = [random_deg4_graph(rng.randrange(2, 60), rng) for _ in range(300)]
+    for _ in range(100):  # unions that include a 4-regular component
+        pieces = [random_deg4_graph(rng.randrange(2, 20), rng) for _ in range(rng.randrange(1, 4))]
+        pieces.append(rng.choice([complete(5), _hamiltonian_cycle_union(rng.randrange(3, 12), 2, rng)]))
+        rng.shuffle(pieces)
+        graphs.append(disjoint_union(pieces))
+    for _ in range(200):
+        n = rng.randrange(2, 30)
+        graphs.append(_deg4_multigraph(n, [rng.sample(range(n), 2) for _ in range(2 * n)]))
+    graphs += [Graph(2, ((0, 1),) * k) for k in (1, 2, 3, 4)]
+    graphs += [Graph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2))), cycle(3), cycle(4)]
+    for g in graphs:
+        assert _is_deg4_split(g, wr2_deg4(g))
+
+
+@st.composite
+def _deg4_multigraphs(draw):
+    n = draw(st.integers(2, 12))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), min_size=1, max_size=30))
+    return _deg4_multigraph(n, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_deg4_multigraphs())
+def test_wr2_deg4_splits_every_multigraph_of_degree_at_most_four(g):
+    assert _is_deg4_split(g, wr2_deg4(g))
+
+
+# Verbatim copy of the circuit walk and the degree-4 path of
+# `two_factorize` before it became the 4-regular case of the degree-4
+# split; the factors must stay the same.
+def _old_euler_circuit_arcs(g: Graph) -> list[tuple[int, int, int]]:
+    """Orient all edges along per-component Euler circuits.
+
+    Returns arcs (tail, head, edge id); every vertex ends up with equal
+    in- and out-degree.  Each component's arcs are contiguous and in
+    circuit order, the head of one arc being the tail of the next.
+    Requires all degrees even.
+    """
+    adj = g.adjacency()
+    used = [False] * g.m
+    ptr = [0] * g.n
+    arcs: list[tuple[int, int, int]] = []
+    for start in range(g.n):
+        if ptr[start] >= len(adj[start]):
+            continue
+        if all(used[e] for _, e in adj[start]):
+            continue
+        stack = [(start, -1)]
+        verts: list[int] = []
+        eids: list[int] = []
+        while stack:
+            v, ein = stack[-1]
+            advanced = False
+            while ptr[v] < len(adj[v]):
+                w, e = adj[v][ptr[v]]
+                ptr[v] += 1
+                if not used[e]:
+                    used[e] = True
+                    stack.append((w, e))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                verts.append(v)
+                eids.append(ein)
+        verts.reverse()
+        eids.reverse()
+        # verts[0] == verts[-1] == start; eids[i] entered verts[i]
+        arcs.extend(
+            (verts[i], verts[i + 1], eids[i + 1]) for i in range(len(verts) - 1)
+        )
+    return arcs
+
+
+def _old_two_factorize_degree_four(g):
+    arcs = _old_euler_circuit_arcs(g)
+    assert len(arcs) == g.m
+    rounds = [[e for _, _, e in arcs[0::2]], [e for _, _, e in arcs[1::2]]]
+    return tuple(tuple(sorted(r)) for r in rounds)
+
+
+def test_two_factorize_matches_old_degree_four_path():
+    rng = random.Random(117)
+    doubled = Graph(3, ((0, 1), (1, 2), (2, 0)) * 2)
+    graphs = [complete(5), doubled, disjoint_union([complete(5), doubled]), Graph(2, ((0, 1),) * 4)]
+    graphs += [_hamiltonian_cycle_union(rng.randrange(2, 60), 2, rng) for _ in range(200)]
+    graphs += [_oriented_at_random(g, rng) for g in graphs[:50]]
+    graphs += [four_regularize(random_deg4_graph(rng.randrange(2, 30), rng))[0] for _ in range(50)]
+    graphs.append(four_regularize(random_path_deg4_graph(2000, rng))[0])
+    for g in graphs:
+        assert two_factorize(g).factors == _old_two_factorize_degree_four(g)
 
 
 def test_sr_general_examples():
@@ -262,9 +341,9 @@ def test_sr_tree_never_beaten_by_general_bound():
         assert sr_tree(t).k == (delta + 1) // 2 <= (delta + 2) // 2
 
 
-# Verbatim copy of the colour table, `bipartite_color` and `vizing` before
-# the fan scan moved to C-level iterators; the new code must give the same
-# colours edge for edge.
+# Verbatim copy of the colour table and `vizing` before the fan scan moved
+# to C-level iterators; the new code must give the same colours edge for
+# edge.
 class _OldColorTable:
     """Per-vertex map color -> edge id for a partial proper coloring."""
 
@@ -314,33 +393,6 @@ class _OldColorTable:
             v = self.other(e, v)
             want = second if want == first else first
         return path
-
-
-def _old_bipartite_color(g):
-    """Proper edge coloring of a bipartite graph with exactly max-degree colors."""
-    if not classify(g).is_bipartite:
-        raise ValueError("graph is not bipartite")
-    deg = g.degrees()
-    delta = max(deg, default=0)
-    if g.m == 0:
-        return ProperEdgeColoring((), 0)
-    table = _OldColorTable(g)
-    for e, (u, v) in enumerate(g.edges):
-        a = table.smallest_free(u, delta)
-        b = table.smallest_free(v, delta)
-        if a != b:
-            # Flip the maximal a/b path out of v.  It cannot reach u: it
-            # would arrive on a b-edge, forcing u and v onto the same side.
-            path = table.alternating_path(v, a, b)
-            if path:
-                end = v
-                for pe in path:
-                    end = table.other(pe, end)
-                assert end != u, "alternating path closed on the new edge"
-                flipped = [b if table.ecol[pe] == a else a for pe in path]
-                table.recolor_path(path, flipped)
-        table.set_color(e, a)
-    return ProperEdgeColoring(tuple(table.ecol), delta)
 
 
 def _old_vizing(g):
@@ -418,20 +470,3 @@ def test_vizing_matches_old_fan_scan():
     graphs.append(random_simple_graph(200, 4000, random.Random(212)))
     for g in graphs:
         assert vizing(g) == _old_vizing(g)
-
-
-def test_bipartite_color_matches_old_table():
-    rng = random.Random(213)
-    graphs = [complete_bipartite(a, b) for a in range(1, 7) for b in range(a, 9)]
-    graphs += [path(1), path(6), cycle(8), Graph(4, ((0, 2), (0, 2), (1, 3), (0, 3)))]
-    for _ in range(200):
-        a, b = rng.randrange(1, 12), rng.randrange(1, 12)
-        graphs.append(_random_bipartite(rng, a, b, rng.randrange(1, a * b + 1)))
-    # the out/in incidence graphs that two_factorize colours at degree 6 and 8
-    regular = [complete(7), complete(9), Graph(3, ((0, 1), (1, 2), (2, 0)) * 3)]
-    regular += [_hamiltonian_cycle_union(rng.randrange(3, 40), k, rng) for k in (3, 4) for _ in range(20)]
-    for g in regular:
-        arcs = _euler_circuit_arcs(g)
-        graphs.append(Graph(2 * g.n, tuple((t, g.n + h) for t, h, _ in arcs)))
-    for g in graphs:
-        assert bipartite_color(g) == _old_bipartite_color(g)

@@ -16,13 +16,17 @@ from semireg import (
     decode_tree,
     degree_set,
     disjoint_union,
+    parse_gadget,
     parse_graph,
+    parse_nae,
+    parse_partition,
     path,
     serialize_graph,
     star,
     to_dot,
 )
 from semireg.graph import neighbor_masks
+from semireg.representation import parse_representation
 from helpers import brute_isomorphic, random_simple_graph, reference_bfs_root, seeded_simple_graphs
 
 
@@ -252,6 +256,23 @@ def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
     assert str(err.value) == message
+
+
+# Each text reads "{t}" as the number 1, which every format would accept;
+# "+1", "0_1" and "١" (ARABIC-INDIC DIGIT ONE) all spell it for ``int``.
+@pytest.mark.parametrize("token", ["+1", "0_1", "\u0661"])
+@pytest.mark.parametrize("parse,text,lineno", [
+    (parse_graph, "4 2\n0 2\n3 {t}\n", 3),
+    (parse_graph, "{t} 0\n", 1),
+    (parse_partition, "2 2\n0 0\n1 {t}\n", 3),
+    (parse_nae, "0 1 2\n\n{t} 2\n", 3),
+    (lambda text: parse_gadget("H", text), "2 1\n0 1\nport a {t}\n", 3),
+    (parse_representation, "r 3\nlabels 0 {t} 2\n", 2),
+], ids=["graph", "graph-header", "partition", "nae", "gadget-port", "representation"])
+def test_number_tokens_are_ascii_digits_with_optional_minus(parse, text, lineno, token):
+    with pytest.raises(ParseError, match=rf"^line {lineno}:"):
+        parse(text.format(t=token))
+    parse(text.format(t="1"))
 
 
 def test_parse_accepts_blank_trailing_lines():

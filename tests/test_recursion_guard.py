@@ -8,7 +8,6 @@ import sys
 from semireg import (
     Graph,
     bfs_root,
-    bipartite_color,
     four_regularize,
     log_tree_partition,
     partition_two_forests,
@@ -56,12 +55,6 @@ def _planted_caterpillar(spine: int, rng: random.Random) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def _bipartite_double_cover(g: Graph) -> Graph:
-    return Graph(2 * g.n, tuple(
-        e for u, v in g.edges for e in ((u, g.n + v), (v, g.n + u))
-    ))
-
-
 def _prism(n: int) -> Graph:
     """The 3-regular circular ladder on 2n vertices."""
     edges = [(i, (i + 1) % n) for i in range(n)]
@@ -82,7 +75,6 @@ def test_constructions_do_not_recurse_with_input_size():
     tree = _caterpillar(5000, rng)
     deg4 = random_path_deg4_graph(5000, rng)
     host, _ = four_regularize(random_path_deg4_graph(1000, rng))
-    cover = _bipartite_double_cover(random_path_deg4_graph(2500, rng))
     prism = _prism(3300)
     planted = bfs_root(_planted_caterpillar(5001, rng), 0)  # depth 5000
     counted = dataclasses.replace(planted, order=WalkCounter(planted.order))
@@ -93,7 +85,6 @@ def test_constructions_do_not_recurse_with_input_size():
         lambda: wr2_tree(planted.graph),
         lambda: partition_two_forests(counted, 1, 3),
         lambda: sr_general(deg4),
-        lambda: bipartite_color(cover),
         lambda: wr2_deg4(deg4),
         lambda: two_factorize(host),
         lambda: widen_degree_set(prism),

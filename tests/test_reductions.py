@@ -1,10 +1,12 @@
 import itertools
 import random
 import os
+import shutil
 from dataclasses import dataclass
 
 import pytest
 
+import semireg.reductions
 from semireg import (
     BudgetError,
     Family,
@@ -207,6 +209,22 @@ def test_build_reduction_rejects_bad_port_degrees(tmp_path):
     with pytest.raises(GadgetError) as err:
         build_reduction(_cubic_3clause_formula(), gadgets, "thm2")
     assert "degrees" in str(err.value)
+
+
+def test_build_reduction_checks_degrees_before_classifying_the_instance(tmp_path, monkeypatch):
+    # the bundled H with header "1000000 3": its isolated vertices put
+    # degree 0 into the instance, which the cheap degree check rejects
+    for name in ("B", "I"):
+        shutil.copy(os.path.join(GADGETS_DIR, "thm2", f"{name}.gadget"), tmp_path)
+    with open(os.path.join(GADGETS_DIR, "thm2", "H.gadget"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    (tmp_path / "H.gadget").write_text("\n".join(["1000000 3", *lines[1:]]) + "\n")
+    gadgets = load_gadget_set(str(tmp_path), "thm2")  # classifies each gadget
+    classified = []
+    monkeypatch.setattr(semireg.reductions, "classify", lambda g: classified.append(g.n) or classify(g))
+    with pytest.raises(GadgetError, match=r"degrees \[0\]"):
+        build_reduction(parse_nae("0 1 2\n0 1 2\n0 1 2\n"), gadgets, "thm2")
+    assert classified == []
 
 
 def test_extract_assignment():
