@@ -214,13 +214,13 @@ def four_regularize(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 
 def wr2_deg4(g: Graph) -> EdgePartition:
-    """Split a graph with maximum degree <= 4 (minimum >= 1) into two parts
-    whose degree sets lie in {1, 2}, in linear time.
+    """Split a graph with maximum degree <= 4 into two parts whose degree
+    sets lie in {1, 2}, in linear time.
 
     A dummy vertex n joined to every odd-degree vertex makes all degrees
     even, and each edge takes the parity of its position on its component's
-    Euler circuit.  An input vertex now has degree 2 or 4, so its circuit
-    passes it once or twice, each pass entering on one parity and leaving
+    Euler circuit.  An input vertex now has degree 0, 2 or 4, so a circuit
+    passes it at most twice, each pass entering on one parity and leaving
     on the other: no part gets more than two of its edges.  Only a
     circuit's closing pass can repeat a parity, which is harmless at the
     dummy, at a degree-2 vertex and on a 4-regular component (its circuit
@@ -228,9 +228,7 @@ def wr2_deg4(g: Graph) -> EdgePartition:
     vertices, then anywhere.
     """
     deg = g.degrees()
-    if g.n == 0 or min(deg) < 1:
-        raise ValueError("graph must have minimum degree >= 1")
-    if max(deg) > 4:
+    if max(deg, default=0) > 4:
         raise ValueError("maximum degree exceeds 4")
     n = g.n
     edges = g.edges + tuple((v, n) for v in range(n) if deg[v] & 1)

@@ -117,19 +117,15 @@ def wr_lower_bound(g: Graph, coarse: bool = False) -> int:
     if min(deg) == 0:
         raise ValueError("graph has an isolated vertex")
     size = len(set(deg))
-    if coarse:
-        k = 0
-        while 3**k < size:
-            k += 1
-        return k
-    k = 1
-    while 3**k - 1 < size:
+    k = 0
+    while 3**k - (not coarse) < size:
         k += 1
     return k
 
 
 def parse_partition(text: str) -> EdgePartition:
-    """Parse the partition format: header "k m", then m lines "edge_id part_id"."""
+    """Parse the partition format: header "k m", then m lines "edge_id part_id",
+    then nothing but blank lines."""
     lines = text.splitlines()
     k, m = parse_header(lines, "k m")
     if m > len(lines) - 1:
@@ -152,6 +148,8 @@ def parse_partition(text: str) -> EdgePartition:
         if part[e] is not None:
             raise ParseError(f"line {lineno}: edge {e} assigned twice")
         part[e] = q
+    if any(map(str.strip, lines[m + 1:])):
+        raise ParseError(f"line {m + 2}: trailing content after {m} assignments")
     return EdgePartition(k, tuple(part))  # type: ignore[arg-type]
 
 

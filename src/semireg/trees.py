@@ -5,11 +5,10 @@ Three constructions on trees:
 * an exact decision procedure for splitting a tree into c forests, forest
   k a (1,alphas[k])-forest: a top-down labelling pass over BFS order, and
   only if it fails, one bottom-up pass that bans every label a parent edge
-  cannot take and a second labelling pass.  The two-forest split of the
-  paper is its c = 2 case, whose vertex step is closed form, O(deg v), so
-  it is O(n) per pair, while every other c takes ``vertex_feasible``,
-  which searches target vectors.  ``wr2_tree`` and ``wrc_tree`` run it on
-  each parameter tuple whose degree options cover the degree set;
+  cannot take and a second labelling pass.  Both passes call one vertex
+  step: closed form at c = 2, the paper's two-forest split, so that split
+  is O(n) per pair, and ``vertex_feasible`` for every other c.
+  ``wr2_tree`` and ``wrc_tree`` run it on each covering parameter tuple;
 * a binary-expansion labeling producing O(log max_degree) weakly
   semiregular forests, and the optimal semiregular decomposition into
   exactly ceil(max_degree / 2) parts.
@@ -21,7 +20,7 @@ vertex id, so results are reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .families import EdgePartition
 from .graph import DegreeSet, Graph, RootedTree, bfs_root, degree_set
@@ -84,8 +83,7 @@ def vertex_feasible(
     Enumerates the <= 3^c per-color target vectors and solves each exact
     assignment by augmenting paths, which replaces a general
     degree-constrained-subgraph routine for these single-vertex instances.
-    This is the vertex step of the forest-split search for c != 2; the
-    c = 2 step is closed form.
+    It is the forest split's vertex step for c != 2.
     """
     c = len(targets)
     if len(forced_counts) != c:
@@ -168,101 +166,100 @@ class _LabelSets(dict):
         return labels
 
 
+def _two_step(alphas: tuple[int, ...]) -> Callable[..., bool]:
+    """The c = 2 vertex step of ``_split``, closed form and O(deg v): counting
+    the parent edge and the forced downward edges, take the smallest label-0
+    degree in {0, 1, alphas[0]} whose complement lies in {0, 1, alphas[1]},
+    and give the first free edges label 0, the rest label 1."""
+    zero_targets = sorted({0, 1, alphas[0]})
+    one_targets = {0, 1, alphas[1]}
+
+    def step(edges, banned, p, labels):  # see _split; no annotations, as each split runs this def
+        # counts by mask 0, 1, 2: free, forced to 1, forced to 0; the parent
+        # edge counts as forced to its label
+        counts = [0, 0, 0]
+        for e in edges:
+            counts[banned[e]] += 1
+        if p is not None:
+            counts[2 - p] += 1
+        free, base1, base0 = counts
+        for t0 in zero_targets:
+            if 0 <= t0 - base0 <= free and free + base1 + base0 - t0 in one_targets:
+                break
+        else:
+            return False
+        if labels is not None:
+            zeros = t0 - base0
+            for e in edges:
+                if banned[e]:
+                    labels[e] = banned[e] & 1
+                else:
+                    labels[e] = 0 if zeros > 0 else 1
+                    zeros -= 1
+        return True
+
+    return step
+
+
+def _many_step(alphas: tuple[int, ...]) -> Callable[..., bool]:
+    """The vertex step of ``_split`` for any c: ``vertex_feasible``, every
+    downward edge a slot whose forbidden set is its banned labels."""
+    targets = [{0, 1, a} for a in alphas]
+    no_forced = [0] * len(alphas)
+    label_sets = _LabelSets()
+
+    def step(edges, banned, p, labels):
+        colors = vertex_feasible(len(edges), no_forced, p, [label_sets[banned[e]] for e in edges], targets)
+        if colors is not None and labels is not None:
+            for e, k in zip(edges, colors):
+                labels[e] = k
+        return colors is not None
+
+    return step
+
+
 def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
-    """The search behind both forest splits: a labelling pass, and only if
-    it fails, one ban pass and a second labelling pass.
+    """The search behind both forest splits.
 
     A labelling pass labels the downward edges vertex by vertex in BFS
-    order and stops at the first vertex it cannot complete.  The ban pass
-    walks the BFS order backwards and bans on each parent edge (one bit of
-    a per-edge mask) every label under which the vertex below cannot be
-    completed, given the bans below it.  Every ban is sound, so an edge with
-    every label banned means no split exists, and in the second labelling
-    pass only the root can fail, which also means no split exists.
+    order and stops at the first vertex it cannot complete.  Only if it
+    fails, a ban pass walks the BFS order backwards and bans on each parent
+    edge (one bit of a per-edge mask) every label under which the vertex
+    below cannot be completed, given the bans below it; then a second
+    labelling pass runs.  Every ban is sound, so an edge with every label
+    banned means no split exists, and in the second labelling pass only the
+    root can fail, which also means no split exists.
 
-    For c = 2 the vertex step is closed form, O(deg v), so the split is
-    O(n): counting the parent edge and the forced downward edges, it takes
-    the smallest label-0 degree in {0, 1, alphas[0]} whose complement lies
-    in {0, 1, alphas[1]}, and gives the first free edges label 0 and the
-    rest label 1.  Any other c takes ``vertex_feasible``, every downward
-    edge a slot whose forbidden set is its banned labels.
+    Both passes call one ``step(edges, banned, p, labels)``: can the vertex
+    below a parent edge labelled ``p`` (None at the root) be completed,
+    given the bans on its downward ``edges``?  If so, it writes their
+    labels, unless ``labels`` is None.
     """
     c = len(alphas)
-    m = rt.graph.m
+    step = _two_step(alphas) if c == 2 else _many_step(alphas)
     down = rt.child_edges()
-    two = c == 2
-    if two:
-        zero_targets = sorted({0, 1, alphas[0]})
-        one_targets = {0, 1, alphas[1]}
-    else:
-        targets = [{0, 1, a} for a in alphas]
-        no_forced = [0] * c
-        label_sets = _LabelSets()
     parent_edge = rt.parent_edge
-    banned = [0] * m
-    # a labelling pass; only if it fails, the ban pass and a second one
+    banned = [0] * rt.graph.m
     for second in (False, True):
-        labels = [-1] * m
+        labels = [-1] * rt.graph.m
         for v in rt.order:
             edges = down[v]
-            if not edges:
-                continue  # a leaf fits: every target set holds 0 and 1
-            pe = parent_edge[v]
-            if two:
-                # counts by mask 0, 1, 2: free, forced to 1, forced to 0;
-                # the parent edge counts as forced to its label
-                counts = [0, 0, 0]
-                for e in edges:
-                    counts[banned[e]] += 1
-                if pe is not None:
-                    counts[2 - labels[pe]] += 1
-                free, base1, base0 = counts
-                total = free + base0 + base1
-                for t0 in zero_targets:
-                    if 0 <= t0 - base0 <= free and total - t0 in one_targets:
-                        zeros = t0 - base0
-                        break
-                else:
-                    break  # no label-0 degree fits: the pass fails at v
-                for e in edges:
-                    if banned[e]:
-                        labels[e] = banned[e] & 1
-                    else:
-                        labels[e] = 0 if zeros > 0 else 1
-                        zeros -= 1
-            else:
-                colors = vertex_feasible(len(edges), no_forced, None if pe is None else labels[pe],
-                                         [label_sets[banned[e]] for e in edges], targets)
-                if colors is None:
+            if edges:  # a leaf fits: every target set holds 0 and 1
+                pe = parent_edge[v]
+                if not step(edges, banned, None if pe is None else labels[pe], labels):
                     break
-                for e, k in zip(edges, colors):
-                    labels[e] = k
         else:
             return EdgePartition(c, tuple(labels))
         if second:
             return None
         for v in reversed(rt.order):
-            edges = down[v]
-            pe = parent_edge[v]
-            if not edges or pe is None:
-                continue
-            if two:
-                counts = [0, 0, 0]
-                for e in edges:
-                    counts[banned[e]] += 1
-                free, base1, base0 = counts
-                total = free + base0 + base1 + 1
-                # low: the label-0 degree before any free edge takes label 0
-                for p, low in ((0, base0 + 1), (1, base0)):
-                    if not any(low <= t0 <= low + free and total - t0 in one_targets for t0 in zero_targets):
-                        banned[pe] |= 1 << p
-            else:
-                forbidden = [label_sets[banned[e]] for e in edges]
+            edges, pe = down[v], parent_edge[v]
+            if edges and pe is not None:
                 for p in range(c):
-                    if vertex_feasible(len(edges), no_forced, p, forbidden, targets) is None:
+                    if not step(edges, banned, p, None):
                         banned[pe] |= 1 << p
-            if banned[pe] == (1 << c) - 1:
-                return None
+                if banned[pe] == (1 << c) - 1:
+                    return None
 
 
 def wr2_tree(t: Graph) -> Optional[EdgePartition]:

@@ -81,6 +81,7 @@ def test_decide_wrc_tree(tmp_path, capsys):
         ("sr-tree", star(5)),
         ("sr-general", cycle(5)),
         ("wr2-deg4", complete(4)),
+        ("wr2-deg4", Graph(5, ((0, 1), (1, 2), (2, 3), (3, 0)))),  # vertex 4 has no edge
     ],
 )
 def test_decompose_methods(tmp_path, capsys, method, graph):
@@ -90,6 +91,7 @@ def test_decompose_methods(tmp_path, capsys, method, graph):
     _, fields = _report(capsys)
     assert fields["verified"] == "true"
     parse_partition(out_file.read_text())
+    assert run(["verify", gfile, "--family", fields["family"], "--partition", str(out_file)]) == 0
 
 
 def test_oracle_and_verify_pipeline(tmp_path, capsys):

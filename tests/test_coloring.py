@@ -151,7 +151,8 @@ def test_four_regularize():
 
 
 def test_wr2_deg4_examples():
-    for g in (complete(4), cycle(5), path(3)):
+    isolated = (Graph(0, ()), Graph(3, ()), Graph(6, ((0, 1), (1, 2), (2, 0), (4, 5))))
+    for g in (complete(4), cycle(5), path(3), *isolated):
         p = wr2_deg4(g)
         assert p.k == 2
         assert verify_partition(g, p, Family.WEAKLY_SEMIREGULAR)
@@ -174,6 +175,11 @@ def test_wr2_deg4_random():
             assert degs <= {1, 2}
 
 
+def test_wr2_deg4_refuses_degree_five():
+    with pytest.raises(ValueError, match="maximum degree"):
+        wr2_deg4(Graph(6, tuple((0, v) for v in range(1, 6))))
+
+
 def _is_deg4_split(g, p):
     return p.k == 2 and all(
         set(d for d in part_subgraph(g, p, i).degrees() if d) <= {1, 2} for i in range(2)
@@ -191,9 +197,10 @@ def test_wr2_deg4_builds_no_host(monkeypatch):
         assert _is_deg4_split(g, wr2_deg4(g))
 
 
-def _deg4_multigraph(n, pairs):
-    """The pairs (u != v) kept while both ends stay at degree <= 4, with
-    isolated vertices dropped: a multigraph with every degree in 1..4."""
+def _deg4_multigraph(n, pairs, keep_isolated=False):
+    """The pairs (u != v) kept while both ends stay at degree <= 4: a
+    multigraph with every degree in 0..4, isolated vertices dropped unless
+    ``keep_isolated``."""
     deg = [0] * n
     edges = []
     for u, v in pairs:
@@ -201,6 +208,8 @@ def _deg4_multigraph(n, pairs):
             edges.append((u, v))
             deg[u] += 1
             deg[v] += 1
+    if keep_isolated:
+        return Graph(n, tuple(edges))
     keep = {v: i for i, v in enumerate(v for v in range(n) if deg[v])}
     return Graph(len(keep), tuple((keep[u], keep[v]) for u, v in edges))
 
@@ -226,8 +235,8 @@ def test_wr2_deg4_seeded_sweep():
 def _deg4_multigraphs(draw):
     n = draw(st.integers(2, 12))
     ids = st.integers(0, n - 1)
-    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), min_size=1, max_size=30))
-    return _deg4_multigraph(n, pairs)
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=30))
+    return _deg4_multigraph(n, pairs, keep_isolated=True)
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,7 +19,7 @@ from semireg import (
     verify_partition,
     wr_lower_bound,
 )
-from helpers import random_simple_graph
+from helpers import make_degree_tree, random_simple_graph
 
 
 def test_part_subgraph():
@@ -164,6 +164,41 @@ def test_wr_lower_bound():
         wr_lower_bound(Graph(2, ()))
 
 
+# Verbatim copy of ``wr_lower_bound`` with its two loops, before they
+# became one.
+def _old_wr_lower_bound(g: Graph, coarse: bool = False) -> int:
+    if g.n == 0:
+        raise ValueError("empty graph")
+    deg = g.degrees()
+    if min(deg) == 0:
+        raise ValueError("graph has an isolated vertex")
+    size = len(set(deg))
+    if coarse:
+        k = 0
+        while 3**k < size:
+            k += 1
+        return k
+    k = 1
+    while 3**k - 1 < size:
+        k += 1
+    return k
+
+
+def _bound_or_error(bound, g, coarse):
+    try:
+        return bound(g, coarse)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+def test_wr_lower_bound_matches_two_loop_copy(coarse):
+    # make_degree_tree(k) has degree set {1..k}; k = 1 is the empty graph
+    for k in range(1, 31):
+        g = make_degree_tree(k)
+        assert _bound_or_error(wr_lower_bound, g, coarse) == _bound_or_error(_old_wr_lower_bound, g, coarse)
+
+
 def test_partition_text_roundtrip():
     p = EdgePartition(3, (0, 2, 1, 0))
     assert parse_partition(serialize_partition(p)) == p
@@ -176,6 +211,7 @@ def test_partition_text_roundtrip():
         parse_partition("1 1\n0 4")
     with pytest.raises(ParseError):
         parse_partition("1 2000000000000000000\n0 0")
+    assert parse_partition("1 1\n0 0\n\n  \n") == EdgePartition(1, (0,))  # blank tail
 
 
 @pytest.mark.parametrize(
@@ -186,6 +222,7 @@ def test_partition_text_roundtrip():
         ("2 x\n", "line 1: header must be two integers"),
         ("2 -1\n", "line 1: negative counts in header"),
         ("2 2\n0 0", "line 3: expected 2 assignments, input ended early"),
+        ("2 2\n0 0\n1 1\ngarbage here\n", "line 4: trailing content after 2 assignments"),
     ],
 )
 def test_partition_header_messages(text, message):

@@ -1,7 +1,9 @@
 """Property tests: any text as a gadget file, a representation file, a
-graph file or a partition file is judged (exit 0, or 1 when `rep verify`
-rejects the labels or `verify` the partition) or is an input error
-(exit 2), never an internal error (exit 5) or a traceback."""
+graph file, a partition file or a formula file is judged (exit 0, or 1
+when `rep verify` rejects the labels, `verify` the partition or `nae
+solve` the formula), is an input error (exit 2) or, for a formula over
+more than 24 variables, a budget error (exit 3), never an internal error
+(exit 5) or a traceback."""
 
 import contextlib
 import io
@@ -85,9 +87,32 @@ def _gadget_texts(draw):
     return _with_junk(draw, lines)
 
 
+@st.composite
+def _formula_texts(draw):
+    """Clauses of two or three variable ids, mostly below 12; an id of 24
+    or more puts the formula over the brute-force budget.  Half the time
+    junk lines come anywhere."""
+    ids = st.integers(0, 11) | st.sampled_from([24, 25, 99])
+    lines = [" ".join(map(str, c)) for c in draw(st.lists(st.lists(ids, min_size=2, max_size=3), max_size=8))]
+    return _with_junk(draw, lines) if draw(st.booleans()) else "\n".join(lines)
+
+
+# Formulas stay off 13..24 variables: the brute force may then walk 2^23
+# assignments (about 20 s for "0 0" plus "1 23") before saying UNSAT.
+def _quick_formula(text: str) -> bool:
+    for tok in text.split():
+        try:
+            if 12 < int(tok) <= 23:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
 _GADGET_TEXT = st.one_of(_gadget_texts(), st.text(max_size=60).filter(_small_header))
 _GRAPH_TEXT = st.one_of(_graph_texts(), st.text(max_size=60).filter(_small_header))
 _PARTITION_TEXT = st.one_of(_partition_texts(), st.text(max_size=60).filter(_small_header))
+_FORMULA_TEXT = st.one_of(_formula_texts(), st.text(max_size=60)).filter(_quick_formula)
 _LABELS = st.lists(st.integers(-1, 12), min_size=4, max_size=6, unique=True).map(lambda xs: " ".join(map(str, xs)))
 _REP_TEXT = st.one_of(
     st.builds(lambda r, labels, extra: "\n".join([r, f"labels {labels}", *extra]),
@@ -148,4 +173,13 @@ def test_any_partition_text_is_judged_or_an_input_error(workdir, text, family):
     (workdir / "p.txt").write_text(text, encoding="utf-8")
     code, err = _run(["verify", str(workdir / "g.txt"), "--family", family, "--partition", str(workdir / "p.txt")])
     assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_FORMULA_TEXT)
+def test_any_formula_text_is_solved_or_an_input_or_budget_error(workdir, text):
+    (workdir / "nae.txt").write_text(text, encoding="utf-8")
+    code, err = _run(["nae", "solve", str(workdir / "nae.txt")])
+    assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

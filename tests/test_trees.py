@@ -31,7 +31,7 @@ from semireg import (
 )
 from semireg import trees
 from semireg.oracles import OracleBudget
-from helpers import WalkCounter, cyclic_garbage, make_degree_tree, planted_tree, random_hub_tree, random_tree
+from helpers import WalkCounter, cyclic_garbage, free_trees_with_edges, make_degree_tree, planted_tree, random_hub_tree, random_tree
 
 
 def test_candidate_pairs():
@@ -339,6 +339,23 @@ def test_wr2_tree_eight_distinct_degrees_is_no():
     t = make_degree_tree(8)
     assert degree_set(t) == tuple(range(1, 9))
     assert wr2_tree(t) is None
+
+
+def test_wr2_tree_agrees_with_the_oracle_on_every_free_tree_up_to_15_edges():
+    # the smallest trees with wr(T) = 3 have 14 edges; up to 15 edges
+    # there are 17, and every one splits into three forests
+    wsr = Family.WEAKLY_SEMIREGULAR
+    budget = OracleBudget(max_edges=16, max_parts=2)
+    no = 0
+    for t in free_trees_with_edges(15):
+        witness = wr2_tree(t)
+        assert (witness is None) == (oracle_min_parts(t, wsr, budget) is None)
+        if witness is None:
+            no += 1
+            witness = wrc_tree(t, 3)
+            assert witness is not None
+        assert verify_partition(t, witness, wsr)
+    assert no == 17
 
 
 def test_wr2_tree_spider():
