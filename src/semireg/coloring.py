@@ -18,7 +18,7 @@ from itertools import chain, filterfalse
 from typing import Iterable
 
 from .families import EdgePartition
-from .graph import Graph
+from .graph import Graph, incident_edges
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,9 @@ def wr2_deg4(g: Graph) -> EdgePartition:
         raise ValueError("maximum degree exceeds 4")
     n = g.n
     edges = g.edges + tuple((v, n) for v in range(n) if deg[v] & 1)
-    incident: list[list[int]] = [[] for _ in range(n + 1)]
-    for e, (u, v) in enumerate(edges):
-        incident[u].append(e)
-        incident[v].append(e)
     starts = chain((n,), (v for v in range(n) if deg[v] == 2), range(n))
     part = [0] * len(edges)
-    for circuit in _euler_circuits(edges, incident, starts):
+    for circuit in _euler_circuits(edges, incident_edges(n + 1, edges), starts):
         for e in circuit[1::2]:
             part[e] = 1
     return EdgePartition(2, tuple(part[:g.m]))

@@ -9,7 +9,6 @@ are not.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
@@ -192,30 +191,40 @@ def degree_set(g: Graph) -> DegreeSet:
 
 
 def classify(g: Graph) -> Classification:
+    """BFS 2-coloring: bipartite iff no edge joins two equal colors."""
     color = [-1] * g.n
-    adj = g.adjacency()
-    bipartite = True
+    edges = g.edges
+    inc = incident_edges(g.n, edges)
     components = 0
     for s in range(g.n):
         if color[s] != -1:
             continue
         components += 1
         color[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w, _ in adj[v]:
+        queue = [s]
+        for x in queue:
+            c = 1 - color[x]
+            for e in inc[x]:
+                a, b = edges[e]
+                w = b if a == x else a
                 if color[w] == -1:
-                    color[w] = 1 - color[v]
+                    color[w] = c
                     queue.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
     connected = components <= 1
     return Classification(
         is_tree=connected and g.m == g.n - 1,
-        is_bipartite=bipartite,
+        is_bipartite=all(color[u] != color[v] for u, v in edges),
         is_connected=connected,
     )
+
+
+def incident_edges(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Entry v lists the ids of the edges at v, in id order."""
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        inc[u].append(e)
+        inc[v].append(e)
+    return inc
 
 
 def neighbor_masks(g: Graph) -> Optional[list[int]]:
@@ -256,10 +265,7 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
         raise ValueError("input must be a tree")
     if not 0 <= v < n:
         raise ValueError(f"root {v} out of range")
-    down: list[list[int]] = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(edges):
-        down[a].append(e)
-        down[b].append(e)
+    down = incident_edges(n, edges)
     parent: list[Optional[int]] = [None] * n
     parent_edge: list[Optional[int]] = [None] * n
     depth = [-1] * n

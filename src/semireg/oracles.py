@@ -105,6 +105,10 @@ def _search(g: Graph, f: Family, top: int) -> Optional[tuple[int, tuple[int, ...
         for e, (u, v) in enumerate(edges):
             incident[u].append((v, e))
             incident[v].append((u, e))
+        # two ends joined only to each other have equal degrees in every part
+        if locirr and any(all(w == v for w, _ in incident[u]) and all(w == u for w, _ in incident[v])
+                          for u, v in edges):
+            return None
     # a part fails at a fresh finished degree once it holds this many (a
     # semiregular part holding d and d + 1 admits no third)
     most_distinct = 1 if reg else 2 if capped else m + 1

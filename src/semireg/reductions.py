@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .errors import BudgetError, GadgetError, ParseError
 from .families import EdgePartition
-from .graph import (Graph, classify, complete_bipartite, cycle, disjoint_union, parse_graph,
-                    parse_header, parse_int, path, star)
+from .graph import (Graph, classify, complete_bipartite, cycle, disjoint_union, incident_edges,
+                    parse_graph, parse_header, parse_int, path, star)
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,11 @@ def nae_bruteforce(formula: NaeFormula) -> Optional[tuple[bool, ...]]:
         mask = 0
         for x in cl:
             mask |= 1 << x
+        if mask & (mask - 1) == 0:  # one distinct variable: never split
+            return None
         due[min(cl)].append(mask)
     # a clause is split iff its variables are neither all false nor all
-    # true: 0 < (a & mask) < mask; a one-variable mask can never satisfy it
+    # true: 0 < (a & mask) < mask
     a, i = 0, n - 1  # variables i..n-1 hold bits of a; those below i are 0
     while i >= 0:
         if all(0 < (a & mk) < mk for mk in due[i]):
@@ -287,7 +289,7 @@ def build_reduction(formula: NaeFormula, gadgets: GadgetSet, variant: str) -> Re
     graph = Graph(n + formula.num_vars, union.edges + tuple(
         (port, variable_vertices[x]) for port, cl in zip(clause_ports, formula.clauses) for x in cl
     ))
-    # the one-pass degree test first: classify sorts every adjacency list
+    # the one-pass degree test first: classify builds a list per vertex
     degs = set(graph.degrees())
     if not degs <= rules.allowed_degrees:
         raise GadgetError(
@@ -310,15 +312,12 @@ def extract_assignment(
     """
     if p.k != 2 or len(p.part) != g.m:
         raise ValueError("need a two-part partition covering the graph")
-    incident: dict[int, set[int]] = {v: set() for v in variable_vertices}
-    for e, (u, v) in enumerate(g.edges):
-        if u in incident:
-            incident[u].add(p.part[e])
-        if v in incident:
-            incident[v].add(p.part[e])
+    inc = incident_edges(g.n, g.edges)
     out = []
     for v in variable_vertices:
-        parts = incident[v]
+        if not 0 <= v < g.n:
+            raise ValueError(f"variable vertex {v} out of range")
+        parts = {p.part[e] for e in inc[v]}
         if len(parts) != 1:
             raise ValueError(f"variable vertex {v} has incident edges in both parts")
         out.append(parts == {0})

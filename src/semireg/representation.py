@@ -157,14 +157,10 @@ def rep_construct(g: Graph) -> tuple[Representation, PrimePlan]:
         raise ValueError("complement is not triangle-free")
     n = g.n
 
-    if h.m:
-        coloring = vizing(h)
-        classes: dict[int, list[int]] = {}
-        for e, c in enumerate(coloring.colors):
-            classes.setdefault(c, []).append(e)
-        matchings = [tuple(sorted(classes[c])) for c in sorted(classes)]
-    else:
-        matchings = []
+    classes: dict[int, list[int]] = {}
+    for e, c in enumerate(vizing(h).colors):
+        classes.setdefault(c, []).append(e)
+    matchings = [tuple(classes[c]) for c in sorted(classes)]
     if len(matchings) < 2:
         # a second (possibly empty) coordinate keeps the labels injective
         matchings += [()] * (2 - len(matchings))

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import os
 import random
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semireg import (
     Family,
@@ -646,3 +649,69 @@ def test_cli_reports_match_recorded_digests(tmp_path, capsys, argv, inputs, code
     out_file = tmp_path / "out.txt"
     written = out_file.read_bytes() if out_file.exists() else None
     assert (written and hashlib.sha256(written).hexdigest()) == out_sha
+
+
+def _trees(min_n=2):
+    return st.builds(random_tree, st.integers(min_n, 12), st.randoms(use_true_random=False))
+
+
+@st.composite
+def _graphs(draw, simple=True, max_degree=12, max_m=20):
+    """At least one edge on 2..12 vertices; random pairs that would repeat
+    an edge of a simple graph or pass ``max_degree`` are dropped."""
+    n = draw(st.integers(2, 12))
+    rng = draw(st.randoms(use_true_random=False))
+    edges, deg = [], [0] * n
+    for _ in range(rng.randint(1, max_m)):
+        u, v = rng.sample(range(n), 2)
+        if max(deg[u], deg[v]) < max_degree and (not simple or {(u, v), (v, u)}.isdisjoint(edges)):
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph(n, tuple(edges))
+
+
+# Each constructive command on valid input for it: argv before the graph
+# path, and the graphs to run it on.
+_CONSTRUCTIVE = [
+    (["decompose", "--method", "alg3"], _trees()),
+    (["decompose", "--method", "sr-tree"], _trees()),
+    (["decompose", "--method", "sr-general"], _graphs()),
+    (["decompose", "--method", "wr2-deg4"], _graphs(simple=False, max_degree=4)),
+    (["decide", "wr2-tree"], _trees(min_n=1)),
+    *((["decide", "wrc-tree", "--c", str(c)], _trees(min_n=1)) for c in (1, 2, 3)),
+    *((["oracle", "--family", f.value], _graphs(simple=False, max_m=8)) for f in Family),
+]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("constructive")
+
+
+def _run_quiet(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, dict(line.split(": ", 1) for line in out.getvalue().splitlines() if ": " in line)
+
+
+@pytest.mark.parametrize("head,graphs", _CONSTRUCTIVE,
+                         ids=["-".join(arg.lstrip("-") for arg in head) for head, _ in _CONSTRUCTIVE])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_constructive_out_passes_verify(workdir, head, graphs, data):
+    g = data.draw(graphs)
+    gfile = _write_graph(workdir, g)
+    out_file = workdir / "parts.txt"
+    out_file.unlink(missing_ok=True)
+    code, fields = _run_quiet([*head, gfile, "--out", str(out_file)])
+    if code == 1:  # NO from a decider or an oracle: nothing is written
+        assert head[0] in ("decide", "oracle") and not out_file.exists()
+        return
+    assert code == 0
+    command = fields["command"].split()
+    family = fields.get("family", command[1] if command[0] == "oracle" else Family.WEAKLY_SEMIREGULAR.value)
+    assert _run_quiet(["verify", gfile, "--family", family, "--partition", str(out_file)])[0] == 0
+    if head[-1] == "sr-general":
+        assert int(fields["nonempty-parts"]) <= (max(g.degrees()) + 2) // 2

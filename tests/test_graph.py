@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +26,9 @@ from semireg import (
     star,
     to_dot,
 )
-from semireg.graph import neighbor_masks
+from semireg.graph import Classification, incident_edges, neighbor_masks
 from semireg.representation import parse_representation
-from helpers import brute_isomorphic, random_simple_graph, reference_bfs_root, seeded_simple_graphs
+from helpers import brute_isomorphic, random_simple_graph, random_tree, reference_bfs_root, seeded_simple_graphs
 
 
 def test_named_constructions():
@@ -85,6 +86,61 @@ def test_classify():
     assert not k33.is_tree and k33.is_bipartite and k33.is_connected
     two = classify(disjoint_union([path(2), path(2)]))
     assert not two.is_connected and not two.is_tree
+
+
+def _reference_classify(g: Graph) -> Classification:
+    """``classify`` by BFS over the sorted ``Graph.adjacency`` lists, one
+    deque per component, testing every edge as the BFS meets it."""
+    color = [-1] * g.n
+    adj = g.adjacency()
+    bipartite = True
+    components = 0
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        components += 1
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w, _ in adj[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    bipartite = False
+    connected = components <= 1
+    return Classification(
+        is_tree=connected and g.m == g.n - 1,
+        is_bipartite=bipartite,
+        is_connected=connected,
+    )
+
+
+def _seeded_mixed_graphs(seed: int):
+    """Graph(0, ()), then trees, forests, multigraphs with parallel edges
+    and sparse graphs with isolated vertices, up to 12 vertices."""
+    rng = random.Random(seed)
+    yield Graph(0, ())
+    for _ in range(60):
+        yield random_tree(rng.randint(1, 12), rng)
+        yield disjoint_union([random_tree(rng.randint(1, 5), rng) for _ in range(rng.randint(2, 4))])
+        n = rng.randint(2, 8)
+        yield Graph(n, tuple(tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 14))))
+        n = rng.randint(1, 12)
+        yield random_simple_graph(n, rng.randint(0, n - 1), rng)
+
+
+def test_classify_matches_sorted_adjacency_reference():
+    for g in _seeded_mixed_graphs(1701):
+        assert classify(g) == _reference_classify(g), g
+
+
+def test_incident_edges_rows_are_id_ordered():
+    for g in _seeded_mixed_graphs(1702):
+        inc = incident_edges(g.n, g.edges)
+        assert inc == [[e for e, (a, b) in enumerate(g.edges) if x in (a, b)] for x in range(g.n)]
+        assert incident_edges(g.n + 1, g.edges) == inc + [[]]
 
 
 def test_disjoint_union_counts():

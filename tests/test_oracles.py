@@ -11,6 +11,7 @@ from semireg import (
     classify,
     complete,
     cycle,
+    disjoint_union,
     enumerate_trees,
     is_family,
     oracle_min_parts,
@@ -94,6 +95,19 @@ def test_locally_irregular_on_small_graphs():
     assert got is not None and got[0] == 1
     got = oracle_min_parts(star(3), Family.LOCALLY_IRREGULAR)
     assert got is not None and got[0] == 1
+
+
+_BUNDLE = Graph(2, ((0, 1),) * 12)
+
+
+@pytest.mark.parametrize("g", [_BUNDLE, disjoint_union([_BUNDLE, path(4)]), disjoint_union([path(4), _BUNDLE])])
+def test_two_vertex_component_has_no_locally_irregular_split(g):
+    # the bundle's two ends have equal degrees in every part; without the
+    # pre-test the search takes about a second to prove it on the bundle
+    budget = OracleBudget(16, 4)
+    assert oracle_min_parts(g, Family.LOCALLY_IRREGULAR, budget) is None
+    got = oracle_mixed(g, budget)  # a bundle part is weakly semiregular
+    assert got is not None and verify_partition(g, got[1], Family.MIXED)
 
 
 def test_reg_irr_and_mixed():

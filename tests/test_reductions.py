@@ -7,8 +7,10 @@ from dataclasses import dataclass
 import pytest
 
 import semireg.reductions
+from semireg.cli import run
 from semireg import (
     BudgetError,
+    EdgePartition,
     Family,
     GadgetError,
     Graph,
@@ -73,6 +75,17 @@ def test_nae_bruteforce():
 
     with pytest.raises(BudgetError):
         nae_bruteforce(NaeFormula(25, ((0, 1),)))
+
+
+@pytest.mark.parametrize("text", ["0 0\n1 20", "0 0\n1 23", "5 5 5\n0 1 2\n3 23"])
+def test_nae_clause_over_one_variable_is_unsat_at_once(tmp_path, capsys, text):
+    # without the clause-mask test the search walks up to 2^23 assignments
+    # (about 19 s for "0 0" beside "1 23") before it says UNSAT
+    assert nae_bruteforce(parse_nae(text)) is None
+    f = tmp_path / "f.nae"
+    f.write_text(text)
+    assert run(["nae", "solve", str(f)]) == 1
+    assert "result: UNSAT" in capsys.readouterr().out
 
 
 def test_widen_degree_set():
@@ -244,6 +257,13 @@ def test_extract_assignment():
 
     with pytest.raises(ValueError):
         extract_assignment(g, EdgePartition(3, (0, 1, 0, 0, 1, 2)), variables)
+
+
+@pytest.mark.parametrize("v", [-1, 7])
+def test_extract_assignment_rejects_a_vertex_outside_the_graph(v):
+    g = Graph(7, ((0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)))
+    with pytest.raises(ValueError, match=f"variable vertex {v} out of range"):
+        extract_assignment(g, EdgePartition(2, (0,) * 6), (1, v))
 
 
 def test_extract_assignment_round_trip_through_reduction():
