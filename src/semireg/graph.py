@@ -284,18 +284,19 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
                 queue.append(w)
     if -1 in depth:
         raise ValueError("input must be a tree")
+    del queue
+    # each tuple is built once the lists converted before it are dropped
     layers: list[list[int]] = [[] for _ in range(max(depth) + 1)]
     for x in range(n):
         layers[depth[x]].append(x)
-    return RootedTree(
-        graph=g,
-        root=v,
-        parent=tuple(parent),
-        parent_edge=tuple(parent_edge),
-        depth=tuple(depth),
-        order=tuple(chain.from_iterable(layers)),
-        down=down,
-    )
+    order = tuple(chain.from_iterable(layers))
+    del layers
+    parents = tuple(parent)
+    del parent
+    parent_edges = tuple(parent_edge)
+    del parent_edge
+    return RootedTree(graph=g, root=v, parent=parents, parent_edge=parent_edges,
+                      depth=tuple(depth), order=order, down=down)
 
 
 # ---------------------------------------------------------------------------

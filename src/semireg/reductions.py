@@ -307,8 +307,8 @@ def extract_assignment(
     """Read a truth assignment off a two-part split: a variable is true
     when all edges at its vertex lie in part 0.
 
-    A variable vertex with incident edges in both parts violates the
-    construction's structure and is reported by id.
+    A variable vertex with no edges, or with incident edges in both parts,
+    violates the construction's structure and is reported by id.
     """
     if p.k != 2 or len(p.part) != g.m:
         raise ValueError("need a two-part partition covering the graph")
@@ -318,6 +318,8 @@ def extract_assignment(
         if not 0 <= v < g.n:
             raise ValueError(f"variable vertex {v} out of range")
         parts = {p.part[e] for e in inc[v]}
+        if not parts:
+            raise ValueError(f"variable vertex {v} has no incident edges")
         if len(parts) != 1:
             raise ValueError(f"variable vertex {v} has incident edges in both parts")
         out.append(parts == {0})

@@ -13,8 +13,10 @@ Three constructions on trees:
   semiregular forests, and the optimal semiregular decomposition into
   exactly ceil(max_degree / 2) parts.
 
-All scans run over the BFS order rooted at vertex 0 with ties broken by
-vertex id, so results are reproducible.
+Every construction roots the tree at vertex 0.  The split search scans
+``bfs_root``'s order, by depth with ties broken by vertex id; the other
+two constructions read one leaf-peeling pass and order each vertex's
+downward edges by id.  Results are reproducible.
 """
 
 from __future__ import annotations
@@ -249,7 +251,7 @@ def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
                 if not step(edges, banned, None if pe is None else labels[pe], labels):
                     break
         else:
-            return EdgePartition(c, tuple(labels))
+            return EdgePartition(c, labels)  # it copies the list: a tuple here is one more copy
         if second:
             return None
         for v in reversed(rt.order):
@@ -269,11 +271,11 @@ def wr2_tree(t: Graph) -> Optional[EdgePartition]:
     Trees with at most two distinct degrees are weakly semiregular as they
     stand; otherwise this is ``wrc_tree`` at c = 2.
     """
-    rt = bfs_root(t, 0)
-    ds = degree_set(t)
+    ds = degree_set(t) if t.n else ()  # n = 0 fails the tree test below
     if len(ds) <= 2:
+        _peel(t)
         return EdgePartition(2, (0,) * t.m)
-    return _first_split(rt, ds, 2)
+    return _first_split(t, ds, 2)
 
 
 def wrc_tree(t: Graph | RootedTree, c: int) -> Optional[EdgePartition]:
@@ -285,54 +287,109 @@ def wrc_tree(t: Graph | RootedTree, c: int) -> Optional[EdgePartition]:
     """
     if c < 1:
         raise ValueError("need c >= 1")
-    rt = _require_rooted(t)
-    if rt.graph.m == 0:
+    g = t.graph if isinstance(t, RootedTree) else t
+    if g.m == 0:
+        _peel(g)  # the tree test: only n = 1 passes
         return EdgePartition(c, ())
-    return _first_split(rt, degree_set(rt.graph), c)
+    return _first_split(t, degree_set(g), c)
 
 
-def _first_split(rt: RootedTree, ds: DegreeSet, c: int) -> Optional[EdgePartition]:
-    """The first split over the covering c-tuples, in order, or None."""
-    for alphas in _covering_tuples(ds, ds[-1], c):
+def _first_split(t: Graph | RootedTree, ds: DegreeSet, c: int) -> Optional[EdgePartition]:
+    """The first split over the covering c-tuples, in order, or None.  A
+    graph is rooted by ``bfs_root`` only once some tuple covers its degree
+    set; with none, the peeling pass is its tree test."""
+    tuples = _covering_tuples(ds, ds[-1], c)
+    first = next(tuples, None)
+    if first is None:
+        if not isinstance(t, RootedTree):
+            _peel(t)
+        return None
+    rt = _require_rooted(t)
+    for alphas in itertools.chain((first,), tuples):
         if (result := partition_forests(rt, alphas)) is not None:
             return result
     return None
+
+
+def _peel(t: Graph) -> tuple[list[int], list[int]]:
+    """Root a tree at vertex 0 by peeling leaves, in flat int lists: the
+    tree test, with ``bfs_root``'s message.
+
+    Each vertex keeps its count of unpeeled neighbours and the XOR of their
+    ids, so a leaf's last neighbour is that XOR.  Returns ``order``, the
+    other vertices in peeling order (reversed, parents come first), and
+    ``parent``, each vertex's upper neighbour (0 at the root).
+    """
+    n, edges = t.n, t.edges
+    if len(edges) != n - 1:
+        raise ValueError("input must be a tree")
+    deg = t.degrees()
+    last = [0] * n
+    for a, b in edges:
+        last[a] ^= b
+        last[b] ^= a
+    parent = [0] * n
+    order = [v for v in range(1, n) if deg[v] == 1]
+    for v in order:
+        w = parent[v] = last[v]
+        last[w] ^= v
+        deg[w] -= 1
+        if deg[w] == 1 and w:
+            order.append(w)
+    # No cycle is ever peeled.  Both ends of a root-free component's last
+    # edge are queued; the second, with no neighbour left, reads 0 and
+    # charges the root, which is never queued.  Such a component means
+    # some other one holds a cycle, as m = n - 1.
+    if len(order) != n - 1:
+        raise ValueError("input must be a tree")
+    return order, parent
+
+
+def _ranks(t: Graph, parent: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """One pass over the edges of a peeled tree in id order: each edge's
+    lower end, and per vertex its downward edge count and its parent
+    edge's index among its parent's downward edges, which is its index in
+    ``RootedTree.child_edges``."""
+    low = []
+    count = [0] * t.n
+    rank = [0] * t.n
+    for a, b in t.edges:
+        v = a if parent[a] == b else b
+        u = parent[v]
+        low.append(v)
+        rank[v] = count[u]
+        count[u] += 1
+    return low, count, rank
 
 
 def log_tree_partition(t: Graph) -> EdgePartition:
     """Partition a tree into at most 2*floor(log2 D) + 2 weakly semiregular
     forests, D the maximum degree; every part is a (1, 2^j)-graph.
 
-    Downward edge counts are written in binary and each set bit j sends a
-    block of 2^j edges to label j.  Vertices at even depth (including the
-    root) use labels offset by floor(log2 D) + 1 while odd depths use raw
-    labels, so a parent edge never lands in a label class its lower
-    endpoint also feeds; that endpoint then has degree exactly 1 there.
+    Rooted at vertex 0, each vertex's downward edges, in id order, are cut
+    into blocks by the binary expansion of their count, and each set bit j
+    sends a block of 2^j edges to label j.  Vertices at even depth
+    (including the root) use labels offset past every raw label while odd
+    depths use raw labels, so a parent edge never lands in a label class
+    its lower endpoint also feeds; that endpoint then has degree exactly 1
+    there.  Labels are then renumbered in order from 0.
     """
     if t.m == 0:
         raise ValueError("tree has no edges")
-    rt = bfs_root(t, 0)
-    down = rt.child_edges()
-    delta = max(t.degrees())
-    offset = delta.bit_length() - 1 + 1  # floor(log2 delta) + 1
-
-    label = [-1] * t.m
-    for v in rt.order:
-        edges = down[v]
-        # the binary value is d(v) at the root and d(v)-1 elsewhere, which
-        # is the downward edge count either way
-        value = len(edges)
-        base = offset if rt.depth[v] % 2 == 0 else 0
-        pos = 0
-        bit = 0
-        while value:
-            if value & 1:
-                for _ in range(1 << bit):
-                    label[edges[pos]] = base + bit
-                    pos += 1
-            value >>= 1
-            bit += 1
-        assert pos == len(edges)
+    order, parent = _peel(t)
+    low, count, rank = _ranks(t, parent)
+    offset = max(count).bit_length()
+    base = [offset] * t.n  # the label offset by depth parity
+    for v in reversed(order):
+        base[v] = offset - base[parent[v]]
+    blocks = {}  # downward count -> the bit of each rank's block
+    label = []
+    for v in low:
+        u = parent[v]
+        k = count[u]
+        if k not in blocks:
+            blocks[k] = [j for j in range(k.bit_length()) if k >> j & 1 for _ in range(1 << j)]
+        label.append(base[u] + blocks[k][rank[v]])
 
     used = sorted(set(label))
     remap = {lab: i for i, lab in enumerate(used)}
@@ -344,22 +401,21 @@ def sr_tree(t: Graph) -> EdgePartition:
     ceil(max_degree / 2) parts, each with degrees in {1, 2}.
 
     Properly colors the edges with max-degree colors (trees are bipartite,
-    so that many suffice): child edge i of a vertex gets color i, or i + 1
-    once i reaches the color of the vertex's parent edge.  Then it merges
-    color i with color i + ceil(D/2); each part is a union of at most two
-    matchings.
+    so that many suffice), rooted at vertex 0 and parents first: downward
+    edge i of a vertex, in id order, gets color i, or i + 1 once i reaches
+    the color of the vertex's parent edge.  Then it merges color i with
+    color i + ceil(D/2); each part is a union of at most two matchings.
     """
     if t.m == 0:
         raise ValueError("tree has no edges")
-    rt = bfs_root(t, 0)
-    down = rt.child_edges()
-    color = [-1] * t.m
-    for v in rt.order:
-        kids = down[v]
-        if kids:
-            pe = rt.parent_edge[v]
-            taken = len(kids) if pe is None else color[pe]
-            for i, e in enumerate(kids):
-                color[e] = i if i < taken else i + 1
-    half = (max(color) + 2) // 2  # the coloring uses exactly max_degree colors
-    return EdgePartition(half, tuple(c if c < half else c - half for c in color))
+    order, parent = _peel(t)
+    low, _, color = _ranks(t, parent)
+    # color[v], first v's rank, becomes its parent edge's color; the
+    # root's tops every rank
+    color[0] = t.n
+    for v in reversed(order):
+        if color[v] >= color[parent[v]]:
+            color[v] += 1
+    colors = [color[v] for v in low]
+    half = (max(colors) + 2) // 2  # the coloring uses exactly max_degree colors
+    return EdgePartition(half, tuple(c if c < half else c - half for c in colors))

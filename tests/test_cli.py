@@ -14,6 +14,7 @@ from semireg import (
     complement,
     complete,
     cycle,
+    degree_set,
     parse_graph,
     parse_partition,
     serialize_graph,
@@ -300,6 +301,20 @@ def test_malformed_graph_is_input_error(tmp_path):
 def test_non_tree_is_input_error(tmp_path):
     gfile = _write_graph(tmp_path, cycle(4))
     assert run(["decide", "wr2-tree", gfile]) == 2
+
+
+@pytest.mark.parametrize("extra", ["triangle", "chord"])
+def test_non_tree_with_eight_degrees_is_input_error(tmp_path, capsys, extra):
+    # no pair covers eight degrees, so the peeling pass is the tree test
+    t = make_degree_tree(8)
+    n = t.n
+    if extra == "triangle":  # n - 1 edges: a disjoint triangle
+        g = Graph(n + 3, t.edges + ((n, n + 1), (n + 1, n + 2), (n + 2, n)))
+    else:  # n edges: two leaves joined
+        g = Graph(n, t.edges + ((n - 2, n - 1),))
+    assert len(degree_set(g)) == 8
+    assert run(["decide", "wr2-tree", _write_graph(tmp_path, g)]) == 2
+    assert "input must be a tree" in capsys.readouterr().err
 
 
 def test_input_too_large_for_memory_is_input_error(tmp_path, capsys):

@@ -266,6 +266,12 @@ def test_extract_assignment_rejects_a_vertex_outside_the_graph(v):
         extract_assignment(g, EdgePartition(2, (0,) * 6), (1, v))
 
 
+def test_extract_assignment_names_a_variable_vertex_without_edges():
+    g = Graph(8, ((0, 1), (0, 2), (0, 3), (4, 1), (5, 2), (6, 3)))
+    with pytest.raises(ValueError, match="^variable vertex 7 has no incident edges$"):
+        extract_assignment(g, EdgePartition(2, (0,) * 6), (1, 7))
+
+
 def test_extract_assignment_round_trip_through_reduction():
     gadgets = load_gadget_set(os.path.join(GADGETS_DIR, "thm2"), "thm2")
     formula = _cubic_3clause_formula()

@@ -5,6 +5,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semireg import (
     EdgePartition,
@@ -13,6 +14,7 @@ from semireg import (
     RootedTree,
     bfs_root,
     candidate_pairs,
+    classify,
     cycle,
     degree_set,
     enumerate_trees,
@@ -378,6 +380,10 @@ def test_wr2_tree_rejects_non_tree():
     [
         Graph(4, ((0, 1), (1, 2), (2, 0))),  # triangle plus an isolated vertex
         Graph(3, ((0, 1), (0, 1))),  # doubled edge plus an isolated vertex
+        # peeling from both ends of the disjoint edge leaves no root there
+        Graph(5, ((0, 1), (1, 2), (2, 0), (3, 4))),
+        Graph(5, ((1, 2), (2, 3), (3, 1), (3, 4))),  # cycle plus pendant, isolated root
+        Graph(4, ((0, 1), (0, 1), (1, 2))),  # doubled edge plus pendant and isolated vertex
     ],
 )
 def test_non_trees_with_tree_edge_count_are_rejected(g):
@@ -390,10 +396,62 @@ def test_non_trees_with_tree_edge_count_are_rejected(g):
         lambda: sr_tree(g),
         lambda: log_tree_partition(g),
         lambda: partition_forests(g, (1, 2)),
+        lambda: trees._peel(g),
     )
     for call in calls:
         with pytest.raises(ValueError, match="input must be a tree"):
             call()
+
+
+def test_peeling_pass_is_the_tree_test_on_every_small_multigraph():
+    for n in range(2, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for edges in itertools.combinations_with_replacement(pairs, n - 1):
+            g = Graph(n, edges)
+            if classify(g).is_tree:
+                order, parent = trees._peel(g)
+                assert sorted(order) == list(range(1, n))
+                assert parent[1:] == list(bfs_root(g, 0).parent[1:])
+                placed = {0}  # reversed, the order puts parents first
+                for v in reversed(order):
+                    assert parent[v] in placed
+                    placed.add(v)
+            else:
+                with pytest.raises(ValueError, match="input must be a tree"):
+                    trees._peel(g)
+
+
+def test_empty_and_one_vertex_graphs_at_the_tree_test():
+    empty, single = Graph(0, ()), Graph(1, ())
+    for call in (trees._peel, wr2_tree, lambda g: wrc_tree(g, 2), lambda g: bfs_root(g, 0)):
+        with pytest.raises(ValueError, match="input must be a tree"):
+            call(empty)
+    for g in (empty, single):
+        for call in (sr_tree, log_tree_partition):
+            with pytest.raises(ValueError, match="tree has no edges"):
+                call(g)
+    assert trees._peel(single) == ([], [0])
+    assert wr2_tree(single) == EdgePartition(2, ())
+    assert wrc_tree(single, 3) == EdgePartition(3, ())
+
+
+@pytest.mark.parametrize("max_degree", [8, 12])
+def test_wr2_tree_without_a_covering_pair_roots_no_bfs_tree(monkeypatch, max_degree):
+    def no_bfs_root(*args):
+        raise AssertionError("bfs_root called")
+
+    monkeypatch.setattr(trees, "bfs_root", no_bfs_root)
+    t = make_degree_tree(max_degree)
+    assert len(degree_set(t)) == max_degree
+    assert wr2_tree(t) is None
+    assert wrc_tree(t, 2) is None
+    # the peeling pass is then the tree test: a disjoint triangle fails it
+    n = t.n
+    g = Graph(n + 3, t.edges + ((n, n + 1), (n + 1, n + 2), (n + 2, n)))
+    assert g.m == g.n - 1
+    for call in (wr2_tree, lambda g: wrc_tree(g, 2)):
+        with pytest.raises(ValueError, match="input must be a tree"):
+            call(g)
 
 
 def test_wrc_tree_with_one_part():
@@ -580,3 +638,92 @@ def test_sr_tree_optimal_on_small_trees():
         budget = OracleBudget(max_edges=8, max_parts=max(expected, 1))
         got = oracle_min_parts(t, Family.SEMIREGULAR, budget)
         assert got is not None and got[0] == expected
+
+
+def _reference_log_tree_partition(t):
+    """``log_tree_partition`` over ``bfs_root``'s child lists, verbatim."""
+    if t.m == 0:
+        raise ValueError("tree has no edges")
+    rt = bfs_root(t, 0)
+    down = rt.child_edges()
+    delta = max(t.degrees())
+    offset = delta.bit_length() - 1 + 1  # floor(log2 delta) + 1
+
+    label = [-1] * t.m
+    for v in rt.order:
+        edges = down[v]
+        # the binary value is d(v) at the root and d(v)-1 elsewhere, which
+        # is the downward edge count either way
+        value = len(edges)
+        base = offset if rt.depth[v] % 2 == 0 else 0
+        pos = 0
+        bit = 0
+        while value:
+            if value & 1:
+                for _ in range(1 << bit):
+                    label[edges[pos]] = base + bit
+                    pos += 1
+            value >>= 1
+            bit += 1
+        assert pos == len(edges)
+
+    used = sorted(set(label))
+    remap = {lab: i for i, lab in enumerate(used)}
+    return EdgePartition(len(used), tuple(remap[lab] for lab in label))
+
+
+def _reference_sr_tree(t):
+    """``sr_tree`` over ``bfs_root``'s child lists, verbatim."""
+    if t.m == 0:
+        raise ValueError("tree has no edges")
+    rt = bfs_root(t, 0)
+    down = rt.child_edges()
+    color = [-1] * t.m
+    for v in rt.order:
+        kids = down[v]
+        if kids:
+            pe = rt.parent_edge[v]
+            taken = len(kids) if pe is None else color[pe]
+            for i, e in enumerate(kids):
+                color[e] = i if i < taken else i + 1
+    half = (max(color) + 2) // 2  # the coloring uses exactly max_degree colors
+    return EdgePartition(half, tuple(c if c < half else c - half for c in color))
+
+
+def _assert_constructions_match_reference(t):
+    assert sr_tree(t) == _reference_sr_tree(t)
+    assert log_tree_partition(t) == _reference_log_tree_partition(t)
+
+
+def test_tree_constructions_match_reference_on_every_small_labeled_tree():
+    for n in range(2, 8):
+        for t in enumerate_trees(n):
+            _assert_constructions_match_reference(t)
+
+
+@st.composite
+def _shuffled_trees(draw):
+    """Random labeled trees with relabeled vertices, reordered edges and
+    flipped endpoints, so vertex 0 and the edge ids fall anywhere."""
+    n = draw(st.integers(2, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = rng.sample(range(n), n)
+    edges = [(ids[v], ids[u]) if rng.random() < 0.5 else (ids[u], ids[v]) for u, v in random_tree(n, rng).edges]
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shuffled_trees())
+def test_tree_constructions_match_reference_on_shuffled_trees(t):
+    _assert_constructions_match_reference(t)
+
+
+def test_tree_constructions_match_reference_on_stars_paths_and_hub_trees():
+    rng = random.Random(61)
+    shapes = [star(k) for k in range(1, 40)]
+    shapes += [Graph(k + 1, tuple((i, k) for i in range(k))) for k in range(1, 40)]  # center k
+    shapes += [path(n) for n in range(2, 40)]
+    shapes += [random_hub_tree(n, hubs, rng) for n in (40, 300, 3000) for hubs in (1, 3, 8)]
+    for t in shapes:
+        _assert_constructions_match_reference(t)
