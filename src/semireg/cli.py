@@ -22,7 +22,6 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -41,19 +40,23 @@ EXIT_INTERNAL = 5
 _FAMILIES = {f.value: f for f in Family}
 
 
-@dataclass
 class RunReport:
     """What a subcommand hands to ``run``: the human headline (None: no
     line), a function making the text for ``--out`` (None: nothing to
     write; called only when ``--out`` is given), the report block and the
     exit code."""
 
-    command: str
-    input_digest: str
-    fields: list[tuple[str, str]] = field(default_factory=list)
-    headline: str | None = None
-    out: Callable[[], str] | None = None
-    code: int = EXIT_OK
+    __slots__ = ("command", "input_digest", "fields", "headline", "out", "code")
+
+    def __init__(self, command: str, input_digest: str, fields: list[tuple[str, str]] | None = None,
+                 headline: str | None = None, out: Callable[[], str] | None = None,
+                 code: int = EXIT_OK):
+        self.command = command
+        self.input_digest = input_digest
+        self.fields = [] if fields is None else fields
+        self.headline = headline
+        self.out = out
+        self.code = code
 
     def add(self, key: str, value) -> None:
         self.fields.append((key, str(value)))

@@ -13,25 +13,28 @@ circuits of the input plus one dummy vertex; two_factorize is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, filterfalse
 from typing import Iterable
 
 from .families import EdgePartition
-from .graph import Graph, incident_edges
+from .graph import Graph, Record, incident_edges
 
 
-@dataclass(frozen=True)
-class ProperEdgeColoring:
-    colors: tuple[int, ...]
-    num_colors: int
+class ProperEdgeColoring(Record):
+    __slots__ = ("colors", "num_colors")
+
+    def __init__(self, colors: tuple[int, ...], num_colors: int):
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "num_colors", num_colors)
 
 
-@dataclass(frozen=True)
-class TwoFactorization:
+class TwoFactorization(Record):
     """Edge-id sets, each inducing degree exactly 2 at every vertex."""
 
-    factors: tuple[tuple[int, ...], ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "factors", factors)
 
 
 def _recolor(edges, ecol: list[int], at: list[dict[int, int]], eids, colors) -> None:

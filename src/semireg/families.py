@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
 from .errors import ParseError
-from .graph import Graph, number_reader, parse_header
+from .graph import Graph, Record, number_reader, parse_header
 
 
 class Family(enum.Enum):
@@ -28,12 +27,15 @@ class Family(enum.Enum):
     MIXED = "mixed"  # locally irregular or weakly semiregular
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(Record):
     """Map from edge id to part id.  Empty parts are permitted."""
 
-    k: int
-    part: tuple[int, ...]
+    __slots__ = ("k", "part")
+
+    def __init__(self, k: int, part: tuple[int, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "part", part)
+        self.__post_init__()
 
     def __post_init__(self):
         # through a list, so the tuple is allocated at its final length: a

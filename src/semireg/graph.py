@@ -9,7 +9,6 @@ are not.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -18,10 +17,48 @@ from .errors import ParseError
 DegreeSet = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    edges: tuple[tuple[int, int], ...]
+class Record:
+    """Base of the immutable records: equality and hash on the type and the
+    fields named in ``_compared`` (every slot unless a class names fewer),
+    the repr ``Name(field=value, ...)`` over the same fields, and
+    ``AttributeError`` on assignment or deletion.  Each ``__init__`` sets
+    its slots with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._compared])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # for copy and pickle, which would set the slots one by one
+        return type(self), tuple([getattr(self, f) for f in self.__slots__])
+
+
+class Graph(Record):
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
         # One pass checks each edge once; the converting scan below runs only
@@ -75,15 +112,16 @@ class Graph:
         return True
 
 
-@dataclass(frozen=True)
-class Classification:
-    is_tree: bool
-    is_bipartite: bool
-    is_connected: bool
+class Classification(Record):
+    __slots__ = ("is_tree", "is_bipartite", "is_connected")
+
+    def __init__(self, is_tree: bool, is_bipartite: bool, is_connected: bool):
+        object.__setattr__(self, "is_tree", is_tree)
+        object.__setattr__(self, "is_bipartite", is_bipartite)
+        object.__setattr__(self, "is_connected", is_connected)
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(Record):
     """BFS view of a tree: parent pointers, depth layers, a scan order and
     the downward edges of every vertex.
 
@@ -91,13 +129,19 @@ class RootedTree:
     ascending vertex id, so parents always precede children.
     """
 
-    graph: Graph
-    root: int
-    parent: tuple[Optional[int], ...]
-    parent_edge: tuple[Optional[int], ...]
-    depth: tuple[int, ...]
-    order: tuple[int, ...]
-    down: list[list[int]] = field(repr=False, compare=False)
+    __slots__ = ("graph", "root", "parent", "parent_edge", "depth", "order", "down")
+    _compared = __slots__[:-1]  # not ``down``: it follows from the rest
+
+    def __init__(self, graph: Graph, root: int, parent: tuple[Optional[int], ...],
+                 parent_edge: tuple[Optional[int], ...], depth: tuple[int, ...],
+                 order: tuple[int, ...], down: list[list[int]]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "parent_edge", parent_edge)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "down", down)
 
     def child_edges(self) -> list[list[int]]:
         """Per-vertex downward edge ids in ascending order: the lists the

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import BudgetError
 from .families import EdgePartition, Family
-from .graph import Graph
+from .graph import Graph, Record
 
 _HARD_EDGE_CAP = 24
 
@@ -35,10 +34,13 @@ _HARD_EDGE_CAP = 24
 _FIRST_CAP = {Family.REGULAR_OR_LOCALLY_IRREGULAR: 1, Family.MIXED: 2}
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_edges: int = 16
-    max_parts: int = 4
+class OracleBudget(Record):
+    __slots__ = ("max_edges", "max_parts")
+
+    def __init__(self, max_edges: int = 16, max_parts: int = 4):
+        object.__setattr__(self, "max_edges", max_edges)
+        object.__setattr__(self, "max_parts", max_parts)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.max_edges > _HARD_EDGE_CAP:

@@ -11,21 +11,23 @@ preserved without inventing gadget internals.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetError, GadgetError, ParseError
 from .families import EdgePartition
-from .graph import (Graph, classify, complete_bipartite, cycle, disjoint_union, incident_edges,
+from .graph import (Graph, Record, classify, complete_bipartite, cycle, disjoint_union, incident_edges,
                     parse_graph, parse_header, parse_int, path, star)
 
 
-@dataclass(frozen=True)
-class NaeFormula:
+class NaeFormula(Record):
     """Monotone CNF with clause sizes 2 and 3 over variables 0..num_vars-1."""
 
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    __slots__ = ("num_vars", "clauses")
+
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", clauses)
+        self.__post_init__()
 
     def __post_init__(self):
         for cl in self.clauses:
@@ -156,16 +158,20 @@ def partition_from_labels(g: Graph, labels: Sequence[int]) -> EdgePartition:
 # gadget framework
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gadget:
-    name: str
-    graph: Graph
-    ports: dict[str, int]
+class Gadget(Record):
+    __slots__ = ("name", "graph", "ports")
+
+    def __init__(self, name: str, graph: Graph, ports: dict[str, int]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "ports", ports)
 
 
-@dataclass(frozen=True)
-class GadgetSet:
-    gadgets: dict[str, Gadget]
+class GadgetSet(Record):
+    __slots__ = ("gadgets",)
+
+    def __init__(self, gadgets: dict[str, Gadget]):
+        object.__setattr__(self, "gadgets", gadgets)
 
     def get(self, name: str) -> Gadget:
         if name not in self.gadgets:
@@ -173,20 +179,27 @@ class GadgetSet:
         return self.gadgets[name]
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    graph: Graph
-    variable_vertices: tuple[int, ...]
-    clause_ports: tuple[int, ...]
+class ReductionResult(Record):
+    __slots__ = ("graph", "variable_vertices", "clause_ports")
+
+    def __init__(self, graph: Graph, variable_vertices: tuple[int, ...],
+                 clause_ports: tuple[int, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "variable_vertices", variable_vertices)
+        object.__setattr__(self, "clause_ports", clause_ports)
 
 
-@dataclass(frozen=True)
-class _VariantRules:
-    clause3: tuple[str, str]  # (gadget, port) for a 3-clause
-    clause2: tuple[str, str]  # (gadget, port) for a 2-clause
-    base_gadgets: tuple[str, ...]
-    extra_bases: tuple[tuple[int, int], ...]  # K_{a,b} shapes
-    allowed_degrees: frozenset[int]
+class _VariantRules(Record):
+    __slots__ = ("clause3", "clause2", "base_gadgets", "extra_bases", "allowed_degrees")
+
+    def __init__(self, clause3: tuple[str, str], clause2: tuple[str, str],
+                 base_gadgets: tuple[str, ...], extra_bases: tuple[tuple[int, int], ...],
+                 allowed_degrees: frozenset[int]):
+        object.__setattr__(self, "clause3", clause3)  # (gadget, port) for a 3-clause
+        object.__setattr__(self, "clause2", clause2)  # (gadget, port) for a 2-clause
+        object.__setattr__(self, "base_gadgets", base_gadgets)
+        object.__setattr__(self, "extra_bases", extra_bases)  # K_{a,b} shapes
+        object.__setattr__(self, "allowed_degrees", allowed_degrees)
 
 
 _RULES = {

@@ -11,28 +11,32 @@ matching of the complement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .coloring import vizing
 from .errors import BudgetError, ParseError
-from .graph import Graph, complement, neighbor_masks, parse_int
+from .graph import Graph, Record, complement, neighbor_masks, parse_int
 
 
-@dataclass(frozen=True)
-class Representation:
-    r: int
-    labels: tuple[int, ...]
+class Representation(Record):
+    __slots__ = ("r", "labels")
+
+    def __init__(self, r: int, labels: tuple[int, ...]):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "labels", labels)
 
 
-@dataclass(frozen=True)
-class PrimePlan:
+class PrimePlan(Record):
     """Build record: matchings of the complement, one prime per matching,
     and the per-vertex residue vector."""
 
-    matchings: tuple[tuple[int, ...], ...]
-    primes: tuple[int, ...]
-    coordinates: tuple[tuple[int, ...], ...]
+    __slots__ = ("matchings", "primes", "coordinates")
+
+    def __init__(self, matchings: tuple[tuple[int, ...], ...], primes: tuple[int, ...],
+                 coordinates: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "matchings", matchings)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "coordinates", coordinates)
 
 
 def verify_representation(g: Graph, rep: Representation) -> bool:

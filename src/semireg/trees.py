@@ -25,7 +25,7 @@ import itertools
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .families import EdgePartition
-from .graph import DegreeSet, Graph, RootedTree, bfs_root, degree_set
+from .graph import DegreeSet, Graph, RootedTree, bfs_root
 
 
 def candidate_pairs(degrees: Sequence[int] | DegreeSet, max_degree: int) -> list[tuple[int, int]]:
@@ -271,11 +271,11 @@ def wr2_tree(t: Graph) -> Optional[EdgePartition]:
     Trees with at most two distinct degrees are weakly semiregular as they
     stand; otherwise this is ``wrc_tree`` at c = 2.
     """
-    ds = degree_set(t) if t.n else ()  # n = 0 fails the tree test below
-    if len(ds) <= 2:
-        _peel(t)
+    deg = t.degrees()
+    if len(set(deg)) <= 2:  # n = 0 too: it fails the tree test
+        _peel(t, deg)
         return EdgePartition(2, (0,) * t.m)
-    return _first_split(t, ds, 2)
+    return _first_split(t, deg, 2)
 
 
 def wrc_tree(t: Graph | RootedTree, c: int) -> Optional[EdgePartition]:
@@ -289,20 +289,22 @@ def wrc_tree(t: Graph | RootedTree, c: int) -> Optional[EdgePartition]:
         raise ValueError("need c >= 1")
     g = t.graph if isinstance(t, RootedTree) else t
     if g.m == 0:
-        _peel(g)  # the tree test: only n = 1 passes
+        _peel(g, g.degrees())  # the tree test: only n = 1 passes
         return EdgePartition(c, ())
-    return _first_split(t, degree_set(g), c)
+    return _first_split(t, g.degrees(), c)
 
 
-def _first_split(t: Graph | RootedTree, ds: DegreeSet, c: int) -> Optional[EdgePartition]:
-    """The first split over the covering c-tuples, in order, or None.  A
-    graph is rooted by ``bfs_root`` only once some tuple covers its degree
-    set; with none, the peeling pass is its tree test."""
+def _first_split(t: Graph | RootedTree, deg: list[int], c: int) -> Optional[EdgePartition]:
+    """The first split over the covering c-tuples, in order, or None, given
+    the tree's degree list.  A graph is rooted by ``bfs_root`` only once
+    some tuple covers its degree set; with none, the peeling pass is its
+    tree test."""
+    ds = tuple(sorted(set(deg)))
     tuples = _covering_tuples(ds, ds[-1], c)
     first = next(tuples, None)
     if first is None:
         if not isinstance(t, RootedTree):
-            _peel(t)
+            _peel(t, deg)
         return None
     rt = _require_rooted(t)
     for alphas in itertools.chain((first,), tuples):
@@ -311,9 +313,10 @@ def _first_split(t: Graph | RootedTree, ds: DegreeSet, c: int) -> Optional[EdgeP
     return None
 
 
-def _peel(t: Graph) -> tuple[list[int], list[int]]:
+def _peel(t: Graph, deg: list[int]) -> tuple[list[int], list[int]]:
     """Root a tree at vertex 0 by peeling leaves, in flat int lists: the
-    tree test, with ``bfs_root``'s message.
+    tree test, with ``bfs_root``'s message.  ``deg`` is the tree's degree
+    list, which the pass uses up.
 
     Each vertex keeps its count of unpeeled neighbours and the XOR of their
     ids, so a leaf's last neighbour is that XOR.  Returns ``order``, the
@@ -323,7 +326,6 @@ def _peel(t: Graph) -> tuple[list[int], list[int]]:
     n, edges = t.n, t.edges
     if len(edges) != n - 1:
         raise ValueError("input must be a tree")
-    deg = t.degrees()
     last = [0] * n
     for a, b in edges:
         last[a] ^= b
@@ -376,7 +378,7 @@ def log_tree_partition(t: Graph) -> EdgePartition:
     """
     if t.m == 0:
         raise ValueError("tree has no edges")
-    order, parent = _peel(t)
+    order, parent = _peel(t, t.degrees())
     low, count, rank = _ranks(t, parent)
     offset = max(count).bit_length()
     base = [offset] * t.n  # the label offset by depth parity
@@ -408,7 +410,7 @@ def sr_tree(t: Graph) -> EdgePartition:
     """
     if t.m == 0:
         raise ValueError("tree has no edges")
-    order, parent = _peel(t)
+    order, parent = _peel(t, t.degrees())
     low, _, color = _ranks(t, parent)
     # color[v], first v's rank, becomes its parent edge's color; the
     # root's tops every rank

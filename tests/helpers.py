@@ -87,8 +87,9 @@ def planted_tree(n: int, alpha: int, beta: int, rng: random.Random) -> Graph:
 
 class WalkCounter(tuple):
     """A BFS order that counts how often it is walked, forwards or
-    backwards; swap it into a rooted tree with
-    ``dataclasses.replace(rt, order=WalkCounter(rt.order))``."""
+    backwards; swap it into a rooted tree by rebuilding it with the same
+    fields: ``RootedTree(rt.graph, rt.root, rt.parent, rt.parent_edge,
+    rt.depth, WalkCounter(rt.order), rt.down)``."""
 
     walks = 0
 

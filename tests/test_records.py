@@ -1,0 +1,200 @@
+"""The package's record classes behave as the frozen dataclasses they
+replaced, and the package starts without importing ``dataclasses``.
+
+Each record is checked against a frozen dataclass twin with the same
+fields: construction by position and by keyword, equality, hash, repr,
+no assignment or deletion.  ``RunReport`` is the one mutable record."""
+
+import copy
+import dataclasses
+import inspect
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from semireg import (
+    Classification,
+    EdgePartition,
+    Gadget,
+    GadgetSet,
+    Graph,
+    NaeFormula,
+    OracleBudget,
+    PrimePlan,
+    ProperEdgeColoring,
+    ReductionResult,
+    Representation,
+    RootedTree,
+    TwoFactorization,
+    bfs_root,
+    path,
+)
+from semireg.cli import RunReport
+from semireg.graph import Record
+from semireg.reductions import _VariantRules
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_G = Graph(3, ((0, 1), (1, 2)))
+_RT = bfs_root(_G, 0)
+_GADGET = Gadget("H", _G, {"a": 0})
+
+# class -> (field values in order, a second value of the first field)
+_RECORDS = {
+    Graph: ((3, ((0, 1), (1, 2))), 4),
+    Classification: ((True, False, True), False),
+    RootedTree: ((_G, 0, _RT.parent, _RT.parent_edge, _RT.depth, _RT.order, _RT.down), path(4)),
+    EdgePartition: ((2, (0, 1)), 3),
+    ProperEdgeColoring: (((0, 1), 2), (1, 0)),
+    TwoFactorization: ((((0, 1, 2),),), ()),
+    OracleBudget: ((10, 3), 11),
+    NaeFormula: ((3, ((0, 1), (0, 1, 2))), 4),
+    Gadget: (("H", _G, {"a": 0}), "I"),
+    GadgetSet: (({"H": _GADGET},), {}),
+    ReductionResult: ((_G, (0,), (2,)), path(4)),
+    _VariantRules: ((("H", "a"), ("I", "b"), ("B",), ((1, 6),), frozenset({1, 3})), ("F", "a")),
+    Representation: ((5, (0, 1, 2)), 7),
+    PrimePlan: ((((0,),), (2,), ((0,), (1,))), ()),
+}
+
+
+def _fields(cls):
+    return list(inspect.signature(cls).parameters)
+
+
+def _twin(cls):
+    """A frozen dataclass with the record's fields, as the class was."""
+    specs = [(f, object) for f in _fields(cls)]
+    if cls is RootedTree:
+        specs[-1] = ("down", object, dataclasses.field(repr=False, compare=False))
+    return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True)
+
+
+def _hashable(values):
+    return not any(isinstance(v, dict) for v in values)
+
+
+def test_every_record_class_is_checked():
+    assert set(Record.__subclasses__()) == set(_RECORDS)
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda c: c.__qualname__)
+def test_record_matches_its_frozen_dataclass_twin(cls):
+    values, other_first = _RECORDS[cls]
+    names = _fields(cls)
+    assert len(names) == len(values)
+    assert cls.__slots__ == tuple(names)
+    rec = cls(*values)
+    assert rec == cls(**dict(zip(names, values)))
+    assert [getattr(rec, f) for f in names] == list(values)
+    twin = _twin(cls)(*values)
+    assert repr(rec) == repr(twin)
+
+    same = cls(*values)
+    assert same == rec and not same != rec
+    changed = cls(other_first, *values[1:])
+    assert changed != rec and not changed == rec
+    assert rec != twin and rec != tuple(values)
+    if _hashable(values):
+        assert hash(same) == hash(rec)
+    else:
+        with pytest.raises(TypeError):
+            hash(rec)
+        with pytest.raises(TypeError):
+            hash(twin)
+
+    for f in names + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(rec, f, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, f)
+    assert [getattr(rec, f) for f in names] == list(values)
+    assert not hasattr(rec, "__dict__")
+
+    for dup in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(dup) is cls and dup == rec
+
+
+def test_records_of_two_types_with_equal_fields_differ():
+    a, b = ProperEdgeColoring((0, 1), 2), Representation((0, 1), 2)
+    assert a != b and b != a
+    assert Classification(True, True, True) != (True, True, True)
+
+
+def test_rooted_tree_equality_and_repr_leave_out_down():
+    values = _RECORDS[RootedTree][0]
+    a = RootedTree(*values)
+    b = RootedTree(*values[:-1], [[] for _ in values[-1]])
+    assert a == b and hash(a) == hash(b)
+    assert "down" not in repr(a)
+    assert repr(a).startswith("RootedTree(graph=Graph(n=3, edges=((0, 1), (1, 2))), root=0, ")
+
+
+def test_records_validate_as_before():
+    assert OracleBudget() == OracleBudget(16, 4) == OracleBudget(max_parts=4)
+    assert repr(OracleBudget()) == "OracleBudget(max_edges=16, max_parts=4)"
+    for kwargs in ({"max_edges": 25}, {"max_edges": -1}, {"max_parts": 0}):
+        with pytest.raises(ValueError):
+            OracleBudget(**kwargs)
+    assert Graph(2, [[0, 1]]).edges == ((0, 1),)
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph(2, ((1, 1),))
+    assert EdgePartition(2, [1, 0]).part == (1, 0)
+    with pytest.raises(ValueError, match="invalid part"):
+        EdgePartition(2, (0, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        NaeFormula(2, ((0, 2),))
+
+
+def test_graph_keeps_the_methods_the_tracer_wraps(monkeypatch):
+    assert {"__post_init__", "degrees", "adjacency"} <= set(Graph.__dict__)
+    seen = []
+    original = Graph.__dict__["__post_init__"]
+
+    def traced(self):
+        seen.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", traced)
+    Graph(2, ((0, 1),))
+    assert seen == [2]
+
+
+def test_run_report_is_mutable_and_owns_its_fields():
+    assert _fields(RunReport) == ["command", "input_digest", "fields", "headline", "out", "code"]
+    a, b = RunReport("x", "d"), RunReport(command="y", input_digest="e")
+    a.add("k", 1)
+    assert a.fields == [("k", "1")] and b.fields == []
+    assert (a.headline, a.out, a.code) == (None, None, 0)
+    a.code = 4
+    assert a.code == 4
+    c = RunReport("z", "f", [("p", "q")], "head", str, 1)
+    assert (c.fields, c.headline, c.out, c.code) == ([("p", "q")], "head", str, 1)
+
+
+def _imported(argv, cwd):
+    """Modules a fresh interpreter imports while running ``argv``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect(tmp_path):
+    (tmp_path / "t.txt").write_text("4 3\n0 1\n0 2\n0 3\n")
+    runs = (
+        ["-c", "import semireg"],
+        ["-c", "import semireg.cli"],
+        ["-m", "semireg.cli", "decompose", "t.txt", "--method", "sr-tree"],
+    )
+    for argv in runs:
+        modules = _imported(argv, tmp_path)
+        assert {"semireg", "semireg.graph"} <= modules
+        assert not {"dataclasses", "inspect"} & modules, argv

@@ -1,12 +1,12 @@
 """The constructive algorithms at about 10^4 edges with almost no spare
 recursion depth: any recursion in proportion to n or m fails here."""
 
-import dataclasses
 import random
 import sys
 
 from semireg import (
     Graph,
+    RootedTree,
     bfs_root,
     four_regularize,
     log_tree_partition,
@@ -77,7 +77,8 @@ def test_constructions_do_not_recurse_with_input_size():
     host, _ = four_regularize(random_path_deg4_graph(1000, rng))
     prism = _prism(3300)
     planted = bfs_root(_planted_caterpillar(5001, rng), 0)  # depth 5000
-    counted = dataclasses.replace(planted, order=WalkCounter(planted.order))
+    counted = RootedTree(planted.graph, planted.root, planted.parent, planted.parent_edge,
+                         planted.depth, WalkCounter(planted.order), planted.down)
     calls = [
         lambda: sr_tree(tree),
         lambda: log_tree_partition(tree),

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -304,7 +303,8 @@ def test_partition_forests_stops_when_an_edge_has_every_label_banned(monkeypatch
 
 def _walk_counting(t):
     rt = bfs_root(t, 0)
-    return dataclasses.replace(rt, order=WalkCounter(rt.order))
+    return RootedTree(rt.graph, rt.root, rt.parent, rt.parent_edge, rt.depth,
+                      WalkCounter(rt.order), rt.down)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1, 3), (3, 5)])
@@ -396,7 +396,7 @@ def test_non_trees_with_tree_edge_count_are_rejected(g):
         lambda: sr_tree(g),
         lambda: log_tree_partition(g),
         lambda: partition_forests(g, (1, 2)),
-        lambda: trees._peel(g),
+        lambda: trees._peel(g, g.degrees()),
     )
     for call in calls:
         with pytest.raises(ValueError, match="input must be a tree"):
@@ -409,7 +409,7 @@ def test_peeling_pass_is_the_tree_test_on_every_small_multigraph():
         for edges in itertools.combinations_with_replacement(pairs, n - 1):
             g = Graph(n, edges)
             if classify(g).is_tree:
-                order, parent = trees._peel(g)
+                order, parent = trees._peel(g, g.degrees())
                 assert sorted(order) == list(range(1, n))
                 assert parent[1:] == list(bfs_root(g, 0).parent[1:])
                 placed = {0}  # reversed, the order puts parents first
@@ -418,19 +418,20 @@ def test_peeling_pass_is_the_tree_test_on_every_small_multigraph():
                     placed.add(v)
             else:
                 with pytest.raises(ValueError, match="input must be a tree"):
-                    trees._peel(g)
+                    trees._peel(g, g.degrees())
 
 
 def test_empty_and_one_vertex_graphs_at_the_tree_test():
     empty, single = Graph(0, ()), Graph(1, ())
-    for call in (trees._peel, wr2_tree, lambda g: wrc_tree(g, 2), lambda g: bfs_root(g, 0)):
+    peel = lambda g: trees._peel(g, g.degrees())
+    for call in (peel, wr2_tree, lambda g: wrc_tree(g, 2), lambda g: bfs_root(g, 0)):
         with pytest.raises(ValueError, match="input must be a tree"):
             call(empty)
     for g in (empty, single):
         for call in (sr_tree, log_tree_partition):
             with pytest.raises(ValueError, match="tree has no edges"):
                 call(g)
-    assert trees._peel(single) == ([], [0])
+    assert peel(single) == ([], [0])
     assert wr2_tree(single) == EdgePartition(2, ())
     assert wrc_tree(single, 3) == EdgePartition(3, ())
 
@@ -452,6 +453,25 @@ def test_wr2_tree_without_a_covering_pair_roots_no_bfs_tree(monkeypatch, max_deg
     for call in (wr2_tree, lambda g: wrc_tree(g, 2)):
         with pytest.raises(ValueError, match="input must be a tree"):
             call(g)
+
+
+@pytest.mark.parametrize("t", [make_degree_tree(8), make_degree_tree(12), star(6), path(7)],
+                         ids=["eight-degrees", "twelve-degrees", "star", "path"])
+def test_tree_deciders_compute_degrees_once(monkeypatch, t):
+    calls = []
+    degrees = Graph.degrees
+
+    def counted(g):
+        calls.append(g)
+        return degrees(g)
+
+    monkeypatch.setattr(Graph, "degrees", counted)
+    wr2_tree(t)
+    assert len(calls) == 1
+    if len(degree_set(t)) > 2:
+        calls.clear()
+        assert wrc_tree(t, 2) is None
+        assert len(calls) == 1
 
 
 def test_wrc_tree_with_one_part():
