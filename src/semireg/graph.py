@@ -122,11 +122,12 @@ class Classification(Record):
 
 
 class RootedTree(Record):
-    """BFS view of a tree: parent pointers, depth layers, a scan order and
-    the downward edges of every vertex.
+    """A tree rooted at ``root``: parent pointers and parent edges (None at
+    the root), depths, a scan order and the downward edges of every vertex.
 
-    ``order`` lists the vertices by nondecreasing depth, ties broken by
-    ascending vertex id, so parents always precede children.
+    ``order`` lists every vertex after its parent: ``bfs_root`` orders by
+    (depth, id), the tree algorithms by reversed leaf-peeling order.  A
+    leaf's row in ``down`` may be a shared empty tuple.
     """
 
     __slots__ = ("graph", "root", "parent", "parent_edge", "depth", "order", "down")
@@ -134,7 +135,7 @@ class RootedTree(Record):
 
     def __init__(self, graph: Graph, root: int, parent: tuple[Optional[int], ...],
                  parent_edge: tuple[Optional[int], ...], depth: tuple[int, ...],
-                 order: tuple[int, ...], down: list[list[int]]):
+                 order: tuple[int, ...], down: list[Sequence[int]]):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "parent", parent)
@@ -143,9 +144,9 @@ class RootedTree(Record):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "down", down)
 
-    def child_edges(self) -> list[list[int]]:
-        """Per-vertex downward edge ids in ascending order: the lists the
-        BFS kept, shared with every caller, so do not modify them."""
+    def child_edges(self) -> list[Sequence[int]]:
+        """Per-vertex downward edge ids in ascending order: the rows the
+        rooting built, shared with every caller, so do not modify them."""
         return self.down
 
 
@@ -295,8 +296,10 @@ def complement(g: Graph) -> Graph:
 
 
 def bfs_root(g: Graph, v: int) -> RootedTree:
-    """Root a tree at ``v``.  This is the tree test: a graph is a tree iff
-    it has n - 1 edges and the BFS from ``v`` reaches every vertex.
+    """Root a tree at any vertex ``v`` by BFS, with ``order`` by (depth, id).
+    This is the tree test: a graph is a tree iff it has n - 1 edges and the
+    BFS from ``v`` reaches every vertex.  The tree algorithms root at
+    vertex 0 by their own leaf-peeling pass instead.
 
     Runs in O(n) without sorting.  Each vertex's incident edge ids are
     listed in id order; dropping its parent edge when the BFS reaches it
@@ -328,19 +331,11 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
                 queue.append(w)
     if -1 in depth:
         raise ValueError("input must be a tree")
-    del queue
-    # each tuple is built once the lists converted before it are dropped
     layers: list[list[int]] = [[] for _ in range(max(depth) + 1)]
     for x in range(n):
         layers[depth[x]].append(x)
-    order = tuple(chain.from_iterable(layers))
-    del layers
-    parents = tuple(parent)
-    del parent
-    parent_edges = tuple(parent_edge)
-    del parent_edge
-    return RootedTree(graph=g, root=v, parent=parents, parent_edge=parent_edges,
-                      depth=tuple(depth), order=order, down=down)
+    return RootedTree(graph=g, root=v, parent=tuple(parent), parent_edge=tuple(parent_edge),
+                      depth=tuple(depth), order=tuple(chain.from_iterable(layers)), down=down)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,10 @@ def nae_bruteforce(formula: NaeFormula) -> Optional[tuple[bool, ...]]:
 
     An empty clause list is vacuously satisfiable.  Repeated variables in
     a clause are kept: a clause over a single variable can never be split.
-    Backtracking assigns variables n - 1 down to 0, False before True, and
+    Each connected component of the clauses' variables is searched on its
+    own, and variables in no clause are False; the least assignment is the
+    union of the components' least ones.  Backtracking assigns a
+    component's variables from the highest down, False before True, and
     checks each clause once its lowest variable is assigned, so the first
     full assignment reached is the least one.
     """
@@ -85,6 +88,7 @@ def nae_bruteforce(formula: NaeFormula) -> Optional[tuple[bool, ...]]:
     if n > 24:
         raise BudgetError(f"{n} variables exceed the brute-force budget of 24")
     due: list[list[int]] = [[] for _ in range(n)]
+    components: list[int] = []  # disjoint variable masks
     for cl in formula.clauses:
         mask = 0
         for x in cl:
@@ -92,19 +96,26 @@ def nae_bruteforce(formula: NaeFormula) -> Optional[tuple[bool, ...]]:
         if mask & (mask - 1) == 0:  # one distinct variable: never split
             return None
         due[min(cl)].append(mask)
+        for comp in [comp for comp in components if comp & mask]:
+            components.remove(comp)
+            mask |= comp
+        components.append(mask)
     # a clause is split iff its variables are neither all false nor all
     # true: 0 < (a & mask) < mask
-    a, i = 0, n - 1  # variables i..n-1 hold bits of a; those below i are 0
-    while i >= 0:
-        if all(0 < (a & mk) < mk for mk in due[i]):
-            i -= 1
-            continue
-        while a >> i & 1:  # both values of i failed: backtrack
-            a ^= 1 << i
-            i += 1
-            if i == n:
-                return None
-        a |= 1 << i
+    a = 0
+    for comp in components:
+        xs = [x for x in range(n) if comp >> x & 1]
+        i = len(xs) - 1  # xs[i:] hold bits of a; those below i are 0
+        while i >= 0:
+            if all(0 < (a & mk) < mk for mk in due[xs[i]]):
+                i -= 1
+                continue
+            while a >> xs[i] & 1:  # both values of xs[i] failed: backtrack
+                a ^= 1 << xs[i]
+                i += 1
+                if i == len(xs):
+                    return None
+            a |= 1 << xs[i]
     return tuple([a >> x & 1 == 1 for x in range(n)])
 
 

@@ -3,7 +3,7 @@
 Three constructions on trees:
 
 * an exact decision procedure for splitting a tree into c forests, forest
-  k a (1,alphas[k])-forest: a top-down labelling pass over BFS order, and
+  k a (1,alphas[k])-forest: a top-down labelling pass, parents first, and
   only if it fails, one bottom-up pass that bans every label a parent edge
   cannot take and a second labelling pass.  Both passes call one vertex
   step: closed form at c = 2, the paper's two-forest split, so that split
@@ -13,10 +13,9 @@ Three constructions on trees:
   semiregular forests, and the optimal semiregular decomposition into
   exactly ceil(max_degree / 2) parts.
 
-Every construction roots the tree at vertex 0.  The split search scans
-``bfs_root``'s order, by depth with ties broken by vertex id; the other
-two constructions read one leaf-peeling pass and order each vertex's
-downward edges by id.  Results are reproducible.
+Every construction roots the tree at vertex 0 by one leaf-peeling pass
+and orders each vertex's downward edges by id; the split search reads
+that pass as a ``RootedTree``.  Results are reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import itertools
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .families import EdgePartition
-from .graph import DegreeSet, Graph, RootedTree, bfs_root
+from .graph import DegreeSet, Graph, RootedTree
 
 
 def candidate_pairs(degrees: Sequence[int] | DegreeSet, max_degree: int) -> list[tuple[int, int]]:
@@ -139,7 +138,7 @@ def _place(slot: int, visited: set[int], forbidden: Sequence[Collection[int]], c
 
 
 def _require_rooted(t: Graph | RootedTree) -> RootedTree:
-    return t if isinstance(t, RootedTree) else bfs_root(t, 0)
+    return t if isinstance(t, RootedTree) else _rooted(t, *_peel(t, t.degrees()))
 
 
 def partition_two_forests(t: Graph | RootedTree, alpha: int, beta: int) -> Optional[EdgePartition]:
@@ -223,9 +222,9 @@ def _many_step(alphas: tuple[int, ...]) -> Callable[..., bool]:
 def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
     """The search behind both forest splits.
 
-    A labelling pass labels the downward edges vertex by vertex in BFS
-    order and stops at the first vertex it cannot complete.  Only if it
-    fails, a ban pass walks the BFS order backwards and bans on each parent
+    A labelling pass labels the downward edges vertex by vertex, parents
+    first, and stops at the first vertex it cannot complete.  Only if it
+    fails, a ban pass walks the order backwards and bans on each parent
     edge (one bit of a per-edge mask) every label under which the vertex
     below cannot be completed, given the bans below it; then a second
     labelling pass runs.  Every ban is sound, so an edge with every label
@@ -235,7 +234,9 @@ def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
     Both passes call one ``step(edges, banned, p, labels)``: can the vertex
     below a parent edge labelled ``p`` (None at the root) be completed,
     given the bans on its downward ``edges``?  If so, it writes their
-    labels, unless ``labels`` is None.
+    labels, unless ``labels`` is None.  A step reads only its parent edge's
+    label and the bans below it, so any order with parents first gives the
+    same split.
     """
     c = len(alphas)
     step = _two_step(alphas) if c == 2 else _many_step(alphas)
@@ -278,7 +279,7 @@ def wr2_tree(t: Graph) -> Optional[EdgePartition]:
     return _first_split(t, deg, 2)
 
 
-def wrc_tree(t: Graph | RootedTree, c: int) -> Optional[EdgePartition]:
+def wrc_tree(t: Graph, c: int) -> Optional[EdgePartition]:
     """Decide whether a tree splits into at most c weakly semiregular forests.
 
     Tries the nondecreasing c-tuples of forest parameters up to the maximum
@@ -287,26 +288,24 @@ def wrc_tree(t: Graph | RootedTree, c: int) -> Optional[EdgePartition]:
     """
     if c < 1:
         raise ValueError("need c >= 1")
-    g = t.graph if isinstance(t, RootedTree) else t
-    if g.m == 0:
-        _peel(g, g.degrees())  # the tree test: only n = 1 passes
+    if t.m == 0:
+        _peel(t, t.degrees())  # the tree test: only n = 1 passes
         return EdgePartition(c, ())
-    return _first_split(t, g.degrees(), c)
+    return _first_split(t, t.degrees(), c)
 
 
-def _first_split(t: Graph | RootedTree, deg: list[int], c: int) -> Optional[EdgePartition]:
+def _first_split(t: Graph, deg: list[int], c: int) -> Optional[EdgePartition]:
     """The first split over the covering c-tuples, in order, or None, given
-    the tree's degree list.  A graph is rooted by ``bfs_root`` only once
-    some tuple covers its degree set; with none, the peeling pass is its
-    tree test."""
+    the tree's degree list.  The peeling pass is the tree test; its result
+    becomes a ``RootedTree`` only once some tuple covers the degree set."""
     ds = tuple(sorted(set(deg)))
+    order, parent = _peel(t, deg)
     tuples = _covering_tuples(ds, ds[-1], c)
     first = next(tuples, None)
     if first is None:
-        if not isinstance(t, RootedTree):
-            _peel(t, deg)
         return None
-    rt = _require_rooted(t)
+    rt = _rooted(t, order, parent)
+    del order, parent  # the tree keeps tuples of both: drop the lists before the search
     for alphas in itertools.chain((first,), tuples):
         if (result := partition_forests(rt, alphas)) is not None:
             return result
@@ -315,7 +314,7 @@ def _first_split(t: Graph | RootedTree, deg: list[int], c: int) -> Optional[Edge
 
 def _peel(t: Graph, deg: list[int]) -> tuple[list[int], list[int]]:
     """Root a tree at vertex 0 by peeling leaves, in flat int lists: the
-    tree test, with ``bfs_root``'s message.  ``deg`` is the tree's degree
+    tree test ("input must be a tree").  ``deg`` is the tree's degree
     list, which the pass uses up.
 
     Each vertex keeps its count of unpeeled neighbours and the XOR of their
@@ -362,6 +361,27 @@ def _ranks(t: Graph, parent: list[int]) -> tuple[list[int], list[int], list[int]
         rank[v] = count[u]
         count[u] += 1
     return low, count, rank
+
+
+def _rooted(t: Graph, order: list[int], parent: list[int]) -> RootedTree:
+    """The ``RootedTree`` of a tree that ``_peel`` returned ``order`` and
+    ``parent`` for; it uses both up.  Its order is the root, then the
+    peeling order reversed, so parents come first; each vertex's downward
+    edges are in id order, and leaves share one empty tuple."""
+    low, count, rank = _ranks(t, parent)
+    down = [[0] * k if k else () for k in count]
+    del count
+    parent_edge: list[Optional[int]] = [None] * t.n
+    for e, v in enumerate(low):
+        down[parent[v]][rank[v]] = parent_edge[v] = e
+    del low, rank
+    depth = [0] * t.n
+    for v in reversed(order):
+        depth[v] = depth[parent[v]] + 1
+    order.append(0)
+    order.reverse()
+    parent[0] = None
+    return RootedTree(t, 0, tuple(parent), tuple(parent_edge), tuple(depth), tuple(order), down)
 
 
 def log_tree_partition(t: Graph) -> EdgePartition:

@@ -2,6 +2,7 @@ import itertools
 import random
 import os
 import shutil
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -75,6 +76,22 @@ def test_nae_bruteforce():
 
     with pytest.raises(BudgetError):
         nae_bruteforce(NaeFormula(25, ((0, 1),)))
+
+
+@pytest.mark.parametrize("text", ["0 1\n1 2\n0 2\n3 23", "3 23\n0 1\n1 2\n0 2", "22 23\n0 1 2\n0 1\n1 2\n0 2"])
+def test_nae_low_contradiction_is_unsat_without_walking_the_high_variables(text):
+    # one search over every variable walked each assignment of 3..23 above
+    # the odd cycle of 2-clauses: "3 20" took 1-2 s, and each further
+    # variable doubled it; each component is now searched on its own
+    start = time.perf_counter()
+    assert nae_bruteforce(parse_nae(text)) is None
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("text", ["0 1\n1 2\n2 3\n5 9 23", "5 9 23\n2 3\n0 1\n1 2", "0 23\n1 22\n2 21 20"])
+def test_nae_least_assignment_is_the_union_over_components(text):
+    f = parse_nae(text)
+    assert nae_bruteforce(f) == _old_nae_bruteforce(f)
 
 
 @pytest.mark.parametrize("text", ["0 0\n1 20", "0 0\n1 23", "5 5 5\n0 1 2\n3 23"])

@@ -438,10 +438,10 @@ def test_empty_and_one_vertex_graphs_at_the_tree_test():
 
 @pytest.mark.parametrize("max_degree", [8, 12])
 def test_wr2_tree_without_a_covering_pair_roots_no_bfs_tree(monkeypatch, max_degree):
-    def no_bfs_root(*args):
-        raise AssertionError("bfs_root called")
+    def no_rooted_tree(*args):
+        raise AssertionError("RootedTree built")
 
-    monkeypatch.setattr(trees, "bfs_root", no_bfs_root)
+    monkeypatch.setattr(trees, "_rooted", no_rooted_tree)
     t = make_degree_tree(max_degree)
     assert len(degree_set(t)) == max_degree
     assert wr2_tree(t) is None
@@ -455,23 +455,44 @@ def test_wr2_tree_without_a_covering_pair_roots_no_bfs_tree(monkeypatch, max_deg
             call(g)
 
 
-@pytest.mark.parametrize("t", [make_degree_tree(8), make_degree_tree(12), star(6), path(7)],
-                         ids=["eight-degrees", "twelve-degrees", "star", "path"])
+# the smallest trees that split into no two forests have 14 edges; this
+# one has the single covering pair (3, 5)
+_NO_TREE_WITH_A_COVERING_PAIR = Graph(15, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8),
+                                           (1, 9), (1, 14), (9, 10), (9, 11), (9, 12), (9, 13)))
+
+
+@pytest.mark.parametrize("t", [make_degree_tree(8), make_degree_tree(12), star(6), path(7),
+                               planted_tree(60, 2, 3, random.Random(3)), _NO_TREE_WITH_A_COVERING_PAIR],
+                         ids=["eight-degrees", "twelve-degrees", "star", "path", "planted", "no-with-pair"])
 def test_tree_deciders_compute_degrees_once(monkeypatch, t):
     calls = []
+    built = []
     degrees = Graph.degrees
+    rooted = trees._rooted
 
     def counted(g):
         calls.append(g)
         return degrees(g)
 
+    def counted_rooted(g, order, parent):
+        built.append(g)
+        return rooted(g, order, parent)
+
+    ds = degree_set(t)
+    covered = len(ds) > 2 and bool(candidate_pairs(ds, max(ds)))  # the decider then roots the tree once
     monkeypatch.setattr(Graph, "degrees", counted)
-    wr2_tree(t)
+    monkeypatch.setattr(trees, "_rooted", counted_rooted)
+    witness = wr2_tree(t)
     assert len(calls) == 1
-    if len(degree_set(t)) > 2:
+    assert len(built) == covered
+    if len(ds) > 2:
+        if not covered:
+            assert witness is None
         calls.clear()
-        assert wrc_tree(t, 2) is None
+        built.clear()
+        assert wrc_tree(t, 2) == witness
         assert len(calls) == 1
+        assert len(built) == covered
 
 
 def test_wrc_tree_with_one_part():
@@ -721,16 +742,21 @@ def test_tree_constructions_match_reference_on_every_small_labeled_tree():
             _assert_constructions_match_reference(t)
 
 
+def _shuffle(t, rng):
+    """``t`` with relabeled vertices, reordered edges and flipped endpoints,
+    so vertex 0 and the edge ids fall anywhere."""
+    ids = rng.sample(range(t.n), t.n)
+    edges = [(ids[v], ids[u]) if rng.random() < 0.5 else (ids[u], ids[v]) for u, v in t.edges]
+    rng.shuffle(edges)
+    return Graph(t.n, tuple(edges))
+
+
 @st.composite
 def _shuffled_trees(draw):
-    """Random labeled trees with relabeled vertices, reordered edges and
-    flipped endpoints, so vertex 0 and the edge ids fall anywhere."""
+    """Random labeled trees, shuffled."""
     n = draw(st.integers(2, 300))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    ids = rng.sample(range(n), n)
-    edges = [(ids[v], ids[u]) if rng.random() < 0.5 else (ids[u], ids[v]) for u, v in random_tree(n, rng).edges]
-    rng.shuffle(edges)
-    return Graph(n, tuple(edges))
+    return _shuffle(random_tree(n, rng), rng)
 
 
 @settings(max_examples=300, deadline=None)
@@ -747,3 +773,33 @@ def test_tree_constructions_match_reference_on_stars_paths_and_hub_trees():
     shapes += [random_hub_tree(n, hubs, rng) for n in (40, 300, 3000) for hubs in (1, 3, 8)]
     for t in shapes:
         _assert_constructions_match_reference(t)
+
+
+@st.composite
+def _shuffled_split_trees(draw):
+    """Planted (2,3) and (3,5) trees, hub trees and random trees, shuffled."""
+    n = draw(st.integers(3, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["planted-2-3", "planted-3-5", "hub", "random"]))
+    if kind == "planted-2-3":
+        t = planted_tree(n, 2, 3, rng)
+    elif kind == "planted-3-5":
+        t = planted_tree(n, 3, 5, rng)
+    elif kind == "hub":
+        t = random_hub_tree(n, rng.randrange(1, 4), rng)
+    else:
+        t = random_tree(n, rng)
+    return _shuffle(t, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_shuffled_split_trees())
+def test_split_over_the_peeled_tree_matches_the_bfs_rooted_tree(t):
+    # the two parents-first orders differ, yet every step reads only its
+    # parent edge's label and the bans below it; about one tuple in five
+    # gives NO
+    rt = bfs_root(t, 0)
+    ds = degree_set(t)
+    for c in (2, 3):
+        for alphas in itertools.islice(trees._covering_tuples(ds, max(ds), c), 20):
+            assert partition_forests(t, alphas) == partition_forests(rt, alphas)
