@@ -1,14 +1,19 @@
-"""Proper edge coloring and the degree-at-most-4 split.
+"""Proper edge coloring, the general semiregular split and the
+degree-at-most-4 split.
 
 vizing colors any simple graph with at most max_degree + 1 colors by fan
-rotation, which powers the general semiregular bound.  It keeps a partial
-coloring as a flat list of edge colors plus one color -> edge dict per
-vertex, and finds free colors and fan edges with C-level scans
-(``filterfalse`` over dict membership), not a Python call per candidate.
-wr2_deg4 splits a graph of maximum degree at most 4 into two parts with
-degrees in {1, 2} in linear time, by alternating labels along Euler
-circuits of the input plus one dummy vertex; two_factorize is the
-4-regular case of the same walk.
+rotation.  It keeps a partial coloring as a flat list of edge colors plus
+one color -> edge dict per vertex, and finds free colors and fan edges
+with C-level scans (``filterfalse`` over dict membership), not a Python
+call per candidate.  sr_general splits any simple graph into
+ceil(max_degree / 2) parts with degrees in {1, 2}: it orients the edges
+along Euler circuits (Petersen's 2-factor argument) and colors the
+bipartite out-copy / in-copy graph by alternating-path flips in the same
+kind of partial coloring (Koenig's edge-coloring theorem).  wr2_deg4
+splits a graph of maximum degree at most 4 into two parts with degrees in
+{1, 2} in linear time, by alternating labels along Euler circuits of the
+input plus one dummy vertex; two_factorize is the 4-regular case of the
+same walk.
 """
 
 from __future__ import annotations
@@ -132,14 +137,21 @@ def vizing(g: Graph) -> ProperEdgeColoring:
     return ProperEdgeColoring(tuple(ecol), max(len(set(ecol)), max(ecol) + 1))
 
 
-def _euler_circuits(edges, incident: list[list[int]], starts: Iterable[int]) -> list[list[int]]:
+def _euler_circuits(edges, incident: list[list[int]], starts: Iterable[int]) -> tuple[list[list[int]], list[int]]:
     """Edge ids of one Euler circuit per component of an all-even-degree
     graph, each in circuit order, by Hierholzer's walk with an explicit
-    stack.  ``incident[v]`` lists the edge ids at v; the walk leaves v by
-    its first unused one.  A component's circuit starts at its first vertex
-    in ``starts``, which must list every vertex that has edges.
+    stack, and ``tail``: ``tail[e]`` is the end the walk left edge e by.
+    ``incident[v]`` lists the edge ids at v; the walk leaves v by its first
+    unused one.  A component's circuit starts at its first vertex in
+    ``starts``, which must list every vertex that has edges.
+
+    Each circuit passes its edges from tail to head: a closed sub-trail
+    pushed from a vertex is spliced into the circuit where the walk is
+    popped back to that vertex.  So every vertex is the tail of exactly
+    half of its edges.
     """
     used = [False] * len(edges)
+    tail = [0] * len(edges)
     ptr = [0] * len(incident)
     circuits = []
     for start in starts:
@@ -156,6 +168,7 @@ def _euler_circuits(edges, incident: list[list[int]], starts: Iterable[int]) -> 
                 e = row[i]
                 ptr[v] = i + 1
                 used[e] = True
+                tail[e] = v
                 a, b = edges[e]
                 stack.append(b if a == v else a)
                 entered.append(e)
@@ -165,7 +178,7 @@ def _euler_circuits(edges, incident: list[list[int]], starts: Iterable[int]) -> 
                 circuit.append(entered.pop())
         if len(circuit) > 1:
             circuits.append(circuit[-2::-1])  # reversed, without the start's -1
-    return circuits
+    return circuits, tail
 
 
 def two_factorize(g: Graph) -> TwoFactorization:
@@ -181,7 +194,7 @@ def two_factorize(g: Graph) -> TwoFactorization:
         raise ValueError("graph must have edges")
     if set(deg) != {4}:
         raise ValueError("graph is not 4-regular")
-    circuits = _euler_circuits(g.edges, [[e for _, e in row] for row in g.adjacency()], range(g.n))
+    circuits, _ = _euler_circuits(g.edges, [[e for _, e in row] for row in g.adjacency()], range(g.n))
     return TwoFactorization(tuple(
         tuple(sorted(e for c in circuits for e in c[side::2])) for side in (0, 1)
     ))
@@ -237,30 +250,50 @@ def wr2_deg4(g: Graph) -> EdgePartition:
     edges = g.edges + tuple((v, n) for v in range(n) if deg[v] & 1)
     starts = chain((n,), (v for v in range(n) if deg[v] == 2), range(n))
     part = [0] * len(edges)
-    for circuit in _euler_circuits(edges, incident_edges(n + 1, edges), starts):
+    for circuit in _euler_circuits(edges, incident_edges(n + 1, edges), starts)[0]:
         for e in circuit[1::2]:
             part[e] = 1
     return EdgePartition(2, tuple(part[:g.m]))
 
 
 def sr_general(g: Graph) -> EdgePartition:
-    """Semiregular decomposition of any simple graph into at most
-    ceil((max_degree + 1) / 2) parts with degrees in {1, 2}.
+    """Semiregular decomposition of any simple graph into exactly
+    K = ceil(max_degree / 2) parts with degrees in {1, 2}.
 
-    Pairs up the color classes of a fan-rotation coloring: color i joins
-    color i + ceil(chi/2).
+    Petersen's 2-factor argument: a dummy vertex n joined to every
+    odd-degree vertex makes all degrees even, and orienting each edge the
+    way the Euler walk takes it gives every vertex of degree d at most
+    ceil(d / 2) out-edges and as many in-edges.  The bipartite graph of
+    out-copies (tail v) and in-copies (head w, as w + n) then has maximum
+    degree at most K, so by Koenig's theorem it has a proper K-coloring.
+    Edges are colored in id order: an edge takes the least color a free at
+    its tail; if a is taken at its head, the a/b path out of the head is
+    flipped first, b being the least color free there (in a bipartite
+    graph that path never reaches the tail).  A color class holds at most
+    one out-edge and one in-edge per vertex, so its degrees lie in {1, 2};
+    a vertex of degree max_degree meets every class, so none is empty.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    coloring = vizing(g)
-    used = sorted(set(coloring.colors))
-    compact = {c: i for i, c in enumerate(used)}
-    chi = len(used)
-    half = (chi + 1) // 2
-    return EdgePartition(
-        half,
-        tuple(
-            compact[c] if compact[c] < half else compact[c] - half
-            for c in coloring.colors
-        ),
-    )
+    if not g.is_simple():
+        raise ValueError("semiregular split requires a simple graph")
+    deg = g.degrees()
+    k = (max(deg) + 1) // 2
+    n = g.n
+    edges = g.edges + tuple((v, n) for v in range(n) if deg[v] & 1)
+    tail = _euler_circuits(edges, incident_edges(n + 1, edges), range(n + 1))[1]
+    ins = list(range(n, 2 * n))  # in-copy ids, one int object each, shared by the arcs
+    arcs = [(u, ins[v]) if t == u else (v, ins[u]) for (u, v), t in zip(g.edges, tail)]
+    del edges, tail, ins
+    palette = range(k)
+    ecol = [-1] * g.m
+    at: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    for e, (t, h) in enumerate(arcs):
+        at_t, at_h = at[t], at[h]
+        a = next(filterfalse(at_t.__contains__, palette))
+        if a in at_h:
+            _flip(arcs, ecol, at, h, a, next(filterfalse(at_h.__contains__, palette)))
+        ecol[e] = a
+        at_t[a] = e
+        at_h[a] = e
+    return EdgePartition(k, tuple(ecol))

@@ -326,6 +326,16 @@ def test_input_too_large_for_memory_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_sr_general_on_a_parallel_edge_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "multi.txt"
+    bad.write_text("3 3\n0 1\n1 2\n1 0\n")
+    assert run(["decompose", str(bad), "--method", "sr-general"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: semiregular split requires a simple graph" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     def broken(g):
         raise RuntimeError("boom")
@@ -559,18 +569,18 @@ def test_oracle_reports_match_recorded_digests(tmp_path, capsys, graph, family, 
 # returned their reports to `run`; stdout and --out must stay byte-identical.
 # In argv, "{name}" is the path of input file `name` and "{out}" the --out path.
 _GOLDEN_CLI_RUNS = [
-    pytest.param(
+    pytest.param(  # both sr-general rows re-recorded from the Euler-orientation split
         ["decompose", "{g}", "--method", "sr-general", "--out", "{out}"],
         lambda: {"g": serialize_graph(random_simple_graph(12, 30, random.Random(21)))}, 0,
-        "925ffe9cd9a21f2eda39a8e77e0264997868d533247c98d289754f6ab650cc7f",
-        "420f22f46afb7c63178940480e50c27b7ad9f99c37317ecc838b1095c4092393",
+        "b4184fd07593ed5aeb259395cf8faebfe07de6f6fd8534feeb2608077298ca7c",
+        "df152712e7d6033a3efa92f253bcbf6b03e815e223e1b243a353bdaf2fe7b025",
         id="decompose-sr-general",
     ),
-    pytest.param(  # Δ = 38, so fans grow long; recorded from the per-entry fan scan
+    pytest.param(  # Δ = 38, so long alternating paths get flipped
         ["decompose", "{g}", "--method", "sr-general", "--out", "{out}"],
         lambda: {"g": serialize_graph(random_simple_graph(60, 900, random.Random(31)))}, 0,
-        "65518fee7d9f432b81ce2a44e7fe44a485861e1d0ff459a4f6d78c260807eb4b",
-        "c33e0ab3619c73d62f46ec9745f2052372d0abd6901b0b6d82a39d71533a927d",
+        "7514c10d02451304e34272b86bea604a812041ac9aab27b54e41e8076b661e3a",
+        "fef2e81001ace2fe7a5b615f2f5f2bf2ea25983788dde1239bb9b7ed3fe4dc63",
         id="decompose-sr-general-long-fans",
     ),
     pytest.param(  # --out recorded from the Euler-circuit split of the input itself
@@ -729,4 +739,4 @@ def test_every_constructive_out_passes_verify(workdir, head, graphs, data):
     family = fields.get("family", command[1] if command[0] == "oracle" else Family.WEAKLY_SEMIREGULAR.value)
     assert _run_quiet(["verify", gfile, "--family", family, "--partition", str(out_file)])[0] == 0
     if head[-1] == "sr-general":
-        assert int(fields["nonempty-parts"]) <= (max(g.degrees()) + 2) // 2
+        assert int(fields["nonempty-parts"]) <= (max(g.degrees()) + 1) // 2

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,12 @@ from semireg import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    enumerate_trees,
     four_regularize,
     part_subgraph,
     path,
     sr_general,
+    sr_tree,
     two_factorize,
     verify_partition,
     vizing,
@@ -27,6 +30,7 @@ from helpers import (
     is_proper_coloring,
     petersen,
     random_deg4_graph,
+    random_hub_tree,
     random_path_deg4_graph,
     random_simple_graph,
     random_tree,
@@ -333,7 +337,7 @@ def test_sr_general_bound_random():
         g = random_simple_graph(n, rng.randrange(1, n * (n - 1) // 2 + 1), rng)
         p = sr_general(g)
         delta = max(g.degrees())
-        assert p.k <= (delta + 2) // 2
+        assert p.k == (delta + 1) // 2
         assert verify_partition(g, p, Family.SEMIREGULAR)
         for i in range(p.k):
             degs = set(d for d in part_subgraph(g, p, i).degrees() if d)
@@ -341,13 +345,61 @@ def test_sr_general_bound_random():
 
 
 def test_sr_tree_never_beaten_by_general_bound():
+    # the paper's sr(T) = ceil(D/2): on trees, the general split gives as
+    # many parts as the tree construction
     rng = random.Random(113)
-    from semireg import sr_tree
-
-    for _ in range(40):
-        t = random_tree(rng.randrange(2, 16), rng)
+    trees = [t for n in range(2, 8) for t in enumerate_trees(n)]
+    trees += [random_tree(rng.randrange(2, 16), rng) for _ in range(40)]
+    trees += [random_tree(n, rng) for n in (300, 3000)]
+    trees += [random_hub_tree(n, hubs, rng) for n in (40, 300, 3000) for hubs in (1, 3, 8)]
+    for t in trees:
         delta = max(t.degrees())
-        assert sr_tree(t).k == (delta + 1) // 2 <= (delta + 2) // 2
+        assert sr_general(t).k == sr_tree(t).k == (delta + 1) // 2 <= (delta + 2) // 2
+
+
+@st.composite
+def _simple_graphs(draw):
+    """Simple graphs with n <= 14 and at least one edge, in random edge
+    order with random endpoint order."""
+    n = draw(st.integers(2, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, tuple((v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_simple_graphs())
+def test_sr_general_splits_into_exactly_half_max_degree_parts(g):
+    p = sr_general(g)
+    assert p.k == (max(g.degrees()) + 1) // 2
+    assert verify_partition(g, p, Family.SEMIREGULAR)
+    for i in range(p.k):
+        assert set(part_subgraph(g, p, i).degrees()) - {0} in ({1}, {2}, {1, 2})
+
+
+def test_sr_general_at_100000_edges():
+    # a guard against superlinear work: on a 2-core VM the split takes
+    # about 1 s at this size, and the Vizing-based one took about 2 s
+    rng = random.Random(127)
+    n, m = 20_000, 100_000
+    pairs = set()
+    while len(pairs) < m:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((u, v) if u < v else (v, u))
+    g = Graph(n, tuple(pairs))
+    start = time.perf_counter()
+    p = sr_general(g)
+    assert time.perf_counter() - start < 10.0
+    assert p.k == (max(g.degrees()) + 1) // 2
+    assert verify_partition(g, p, Family.SEMIREGULAR)
+
+
+def test_sr_general_rejects_parallel_edges():
+    with pytest.raises(ValueError, match="simple graph"):
+        sr_general(Graph(3, ((0, 1), (1, 2), (0, 1))))
+    with pytest.raises(ValueError, match="no edges"):
+        sr_general(Graph(3, ()))
 
 
 # Verbatim copy of the colour table and `vizing` before the fan scan moved
