@@ -8,12 +8,13 @@ with C-level scans (``filterfalse`` over dict membership), not a Python
 call per candidate.  sr_general splits any simple graph into
 ceil(max_degree / 2) parts with degrees in {1, 2}: it orients the edges
 along Euler circuits (Petersen's 2-factor argument) and colors the
-bipartite out-copy / in-copy graph by alternating-path flips in the same
-kind of partial coloring (Koenig's edge-coloring theorem).  wr2_deg4
-splits a graph of maximum degree at most 4 into two parts with degrees in
-{1, 2} in linear time, by alternating labels along Euler circuits of the
-input plus one dummy vertex; two_factorize is the 4-regular case of the
-same walk.
+bipartite out-copy / in-copy graph in the same kind of partial coloring
+(Koenig's edge-coloring theorem): each arc takes the least color free at
+both of its copies, and an alternating path is flipped only when no color
+is.  wr2_deg4 splits a graph of maximum degree at most 4 into two parts
+with degrees in {1, 2} in linear time, by alternating labels along Euler
+circuits of the input plus one dummy vertex; two_factorize is the
+4-regular case of the same walk.
 """
 
 from __future__ import annotations
@@ -266,12 +267,15 @@ def sr_general(g: Graph) -> EdgePartition:
     ceil(d / 2) out-edges and as many in-edges.  The bipartite graph of
     out-copies (tail v) and in-copies (head w, as w + n) then has maximum
     degree at most K, so by Koenig's theorem it has a proper K-coloring.
-    Edges are colored in id order: an edge takes the least color a free at
-    its tail; if a is taken at its head, the a/b path out of the head is
-    flipped first, b being the least color free there (in a bipartite
-    graph that path never reaches the tail).  A color class holds at most
-    one out-edge and one in-edge per vertex, so its degrees lie in {1, 2};
-    a vertex of degree max_degree meets every class, so none is empty.
+    Edges are colored in id order: an edge takes the least color free at
+    both its tail and its head.  If there is none, with a the least color
+    free at the tail and b the least free at the head, the a/b path out of
+    the head is flipped first and the edge takes a (in a bipartite graph
+    that path never reaches the tail).  Such a conflict needs the two
+    copies to hold all K colors between them, so flips are rare unless
+    both ends are near degree max_degree.  A color class holds at most one
+    out-edge and one in-edge per vertex, so its degrees lie in {1, 2}; a
+    vertex of degree max_degree meets every class, so none is empty.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
@@ -290,8 +294,9 @@ def sr_general(g: Graph) -> EdgePartition:
     at: list[dict[int, int]] = [{} for _ in range(2 * n)]
     for e, (t, h) in enumerate(arcs):
         at_t, at_h = at[t], at[h]
-        a = next(filterfalse(at_t.__contains__, palette))
-        if a in at_h:
+        a = next(filterfalse(at_h.__contains__, filterfalse(at_t.__contains__, palette)), None)
+        if a is None:
+            a = next(filterfalse(at_t.__contains__, palette))
             _flip(arcs, ecol, at, h, a, next(filterfalse(at_h.__contains__, palette)))
         ecol[e] = a
         at_t[a] = e

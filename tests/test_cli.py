@@ -569,18 +569,18 @@ def test_oracle_reports_match_recorded_digests(tmp_path, capsys, graph, family, 
 # returned their reports to `run`; stdout and --out must stay byte-identical.
 # In argv, "{name}" is the path of input file `name` and "{out}" the --out path.
 _GOLDEN_CLI_RUNS = [
-    pytest.param(  # both sr-general rows re-recorded from the Euler-orientation split
+    pytest.param(  # both sr-general rows re-recorded from the shared-free-colour rule
         ["decompose", "{g}", "--method", "sr-general", "--out", "{out}"],
         lambda: {"g": serialize_graph(random_simple_graph(12, 30, random.Random(21)))}, 0,
-        "b4184fd07593ed5aeb259395cf8faebfe07de6f6fd8534feeb2608077298ca7c",
-        "df152712e7d6033a3efa92f253bcbf6b03e815e223e1b243a353bdaf2fe7b025",
+        "1e021ee094717bbba7419813e9457c91f56a03f789cd7924443b63c384ac24b7",
+        "b6fcde3373fd86730de8c05c697534a2b7fca851ed0be4fd358fc8c3dead9011",
         id="decompose-sr-general",
     ),
-    pytest.param(  # Δ = 38, so long alternating paths get flipped
+    pytest.param(  # Δ = 38 on 60 vertices: arcs between near-Δ ends still force 2 flips
         ["decompose", "{g}", "--method", "sr-general", "--out", "{out}"],
         lambda: {"g": serialize_graph(random_simple_graph(60, 900, random.Random(31)))}, 0,
-        "7514c10d02451304e34272b86bea604a812041ac9aab27b54e41e8076b661e3a",
-        "fef2e81001ace2fe7a5b615f2f5f2bf2ea25983788dde1239bb9b7ed3fe4dc63",
+        "58e7da442328f539ebb87a994d138b3b2db7554aa506a72668a97e73aa0441f1",
+        "97d125c80283598bf081396639880d80e2bde047d22243232136401613930d58",
         id="decompose-sr-general-long-fans",
     ),
     pytest.param(  # --out recorded from the Euler-circuit split of the input itself

@@ -380,7 +380,7 @@ def test_sr_general_splits_into_exactly_half_max_degree_parts(g):
 
 def test_sr_general_at_100000_edges():
     # a guard against superlinear work: on a 2-core VM the split takes
-    # about 1 s at this size, and the Vizing-based one took about 2 s
+    # about 0.6-0.9 s at this size, and the Vizing-based one took about 2 s
     rng = random.Random(127)
     n, m = 20_000, 100_000
     pairs = set()
@@ -393,6 +393,33 @@ def test_sr_general_at_100000_edges():
     assert time.perf_counter() - start < 10.0
     assert p.k == (max(g.degrees()) + 1) // 2
     assert verify_partition(g, p, Family.SEMIREGULAR)
+
+
+def _circulant(n, d):
+    """C_n(+-1..+-d), its edges listed vertex by vertex."""
+    return Graph(n, tuple((v, (v + s) % n) for v in range(n) for s in range(1, d + 1)))
+
+
+@pytest.mark.parametrize("build,max_flips", [
+    (lambda: complete(4), None),
+    (lambda: complete(60), None),
+    (lambda: complete_bipartite(30, 30), None),
+    # every vertex has degree D, so conflicts remain (509 flips); flipping
+    # whenever the head held the tail's least free color made 29,038
+    (lambda: _circulant(5000, 10), 2000),
+], ids=["k4", "k60", "k30-30", "circulant-5000-10"])
+def test_sr_general_flips_only_when_no_color_is_free_at_both_ends(monkeypatch, build, max_flips):
+    g = build()
+    flips = []
+    flip = semireg.coloring._flip
+    monkeypatch.setattr(semireg.coloring, "_flip", lambda *args: flips.append(flip(*args)))
+    p = sr_general(g)
+    assert len(flips) >= 1
+    assert max_flips is None or len(flips) < max_flips
+    assert p.k == (max(g.degrees()) + 1) // 2
+    assert verify_partition(g, p, Family.SEMIREGULAR)
+    for i in range(p.k):
+        assert set(part_subgraph(g, p, i).degrees()) - {0} in ({1}, {2}, {1, 2})
 
 
 def test_sr_general_rejects_parallel_edges():
