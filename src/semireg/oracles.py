@@ -6,15 +6,18 @@ longer extend to a valid family member.  A vertex's degree in a part is
 final once its last incident edge has been assigned; the checks below only
 ever constrain finished degrees, which keeps pruning sound.
 
-Each call prepares one search per graph: a step per edge (its ends, and
-whether each end finishes there) and state arrays sized for the largest k.
-A search that fails unwinds fully, so the same arrays serve k = 1, 2, ...
-in turn, and per-part counts of finished degrees keep the degree cap of a
-part as one number.
+One part works exactly when the whole graph is a family member, so k = 1
+is answered by the family predicate, with no search.  Otherwise each call
+prepares one search per graph: a step per edge (its ends, and whether each
+end finishes there) and state arrays sized for the largest k.  A search
+that fails unwinds fully, so the same arrays serve k = 2, 3, ... in turn,
+and per-part counts of finished degrees keep the degree cap of a part as
+one number.
 
 These searches are the ground truth the constructive algorithms are
 validated against, so they share nothing with those code paths beyond the
-basic graph type.
+basic graph type and the family predicate, which is the family's
+definition rather than a construction.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 from typing import Iterator, Optional
 
 from .errors import BudgetError
-from .families import EdgePartition, Family
+from .families import EdgePartition, Family, is_family
 from .graph import Graph, Record
 
 _HARD_EDGE_CAP = 24
@@ -57,13 +60,19 @@ def oracle_min_parts(
 ) -> Optional[tuple[int, EdgePartition]]:
     """Least number of nonempty parts in an edge partition whose parts all
     satisfy the family, with a witness; None if no count within the part
-    budget works."""
+    budget works.
+
+    A family member needs one part, and with one part the only canonical
+    assignment puts every edge in part 0, so ``is_family`` answers k = 1;
+    only a non-member is searched, from k = 2."""
     budget = budget or _DEFAULT_BUDGET
     m = g.m
     if m > budget.max_edges:
         raise BudgetError(f"{m} edges exceed the budget of {budget.max_edges}")
     if m == 0:
         return 0, EdgePartition(0, ())
+    if is_family(g, f):
+        return 1, EdgePartition(1, (0,) * m)
     found = _search(g, f, min(budget.max_parts, m))
     if found is None:
         return None
@@ -76,10 +85,12 @@ def oracle_mixed(g: Graph, budget: Optional[OracleBudget] = None):
     return oracle_min_parts(g, Family.MIXED, budget)
 
 
-def _search(g: Graph, f: Family, top: int) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Least k <= top with a canonical assignment of g's edges onto exactly
-    k nonempty parts valid for f, and the first such assignment; None if no
-    k works.
+def _search(g: Graph, f: Family, top: int) -> Optional[tuple[int, list[int]]]:
+    """Least k with 2 <= k <= top and a canonical assignment of g's edges
+    onto exactly k nonempty parts valid for f, and the first such
+    assignment; None if no such k works.  The caller has ruled out k = 1
+    (g is not a member of f).  The assignment is the search's own list,
+    handed over: it is the caller's from then on.
 
     The search is prepared once: a search that fails at k unwinds everything
     it changed, so the arrays allocated here at k = top serve every k.
@@ -227,9 +238,9 @@ def _search(g: Graph, f: Family, top: int) -> Optional[tuple[int, tuple[int, ...
         return False
 
     try:
-        for k in range(1, top + 1):  # the part count the closures above read
+        for k in range(2, top + 1):  # the part count the closures above read
             if place(0, 0):
-                return k, tuple(part)
+                return k, part  # EdgePartition copies it once anyway
         return None
     finally:
         # place calls itself through its own closure cell; without this the

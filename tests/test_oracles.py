@@ -3,6 +3,7 @@ from typing import Optional
 
 import pytest
 
+import semireg.oracles as oracles
 from semireg import (
     BudgetError,
     Family,
@@ -147,6 +148,47 @@ def test_enumerate_trees():
 def test_empty_graph_needs_no_parts():
     got = oracle_min_parts(Graph(3, ()), Family.WEAKLY_SEMIREGULAR)
     assert got is not None and got[0] == 0
+
+
+# center of degree 3, three legs of two edges: degrees 3, 2, 1 on every
+# path from the center, so locally irregular but not weakly semiregular
+_SPIDER = Graph(7, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)))
+
+
+@pytest.mark.parametrize(
+    "g,fam",
+    [
+        (star(5), Family.WEAKLY_SEMIREGULAR),
+        (path(4), Family.SEMIREGULAR),
+        (cycle(5), Family.REGULAR),
+        (disjoint_union([cycle(3), path(2)]), Family.LOCALLY_REGULAR),
+        (_SPIDER, Family.LOCALLY_IRREGULAR),
+        (complete(4), Family.REGULAR_OR_LOCALLY_IRREGULAR),
+        (_SPIDER, Family.MIXED),
+    ],
+)
+def test_family_member_is_one_part_without_a_search(g, fam, monkeypatch):
+    assert is_family(g, fam)
+    calls = []
+    monkeypatch.setattr(oracles, "_search", lambda *args: calls.append(args))
+    assert _min_parts(g, fam, OracleBudget(max_edges=8, max_parts=3)) == (1, (0,) * g.m)
+    assert calls == []
+
+
+def test_non_member_is_searched_once_from_two_parts(monkeypatch):
+    g, fam = star(5), Family.SEMIREGULAR
+    assert not is_family(g, fam)
+    calls = []
+    search = oracles._search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(oracles, "_search", counted)
+    got = oracle_min_parts(g, fam)
+    assert len(calls) == 1
+    assert got is not None and got[0] >= 2 and verify_partition(g, got[1], fam)
 
 
 # The search as it stood before it was prepared once per graph and reused
@@ -362,7 +404,7 @@ def test_witnesses_match_reference_on_connected_graphs():
 @pytest.mark.parametrize(
     "g,fam,max_parts,expected_k",
     [
-        (star(5), Family.SEMIREGULAR, 4, 3),        # k = 1 and k = 2 fail first
+        (star(5), Family.SEMIREGULAR, 4, 3),        # not a member; the search fails k = 2 first
         (path(2), Family.LOCALLY_IRREGULAR, 3, None),  # max_parts above m
         (star(3), Family.REGULAR, 5, 3),            # needs every k up to m
         (star(3), Family.REGULAR, 2, None),
