@@ -29,18 +29,11 @@ from .graph import Graph, Record, incident_edges
 class ProperEdgeColoring(Record):
     __slots__ = ("colors", "num_colors")
 
-    def __init__(self, colors: tuple[int, ...], num_colors: int):
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "num_colors", num_colors)
-
 
 class TwoFactorization(Record):
     """Edge-id sets, each inducing degree exactly 2 at every vertex."""
 
     __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "factors", factors)
 
 
 def _recolor(edges, ecol: list[int], at: list[dict[int, int]], eids, colors) -> None:

@@ -32,11 +32,6 @@ class EdgePartition(Record):
 
     __slots__ = ("k", "part")
 
-    def __init__(self, k: int, part: tuple[int, ...]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "part", part)
-        self.__post_init__()
-
     def __post_init__(self):
         # through a list, so the tuple is allocated at its final length: a
         # tuple grown from an iterator of unknown length is resized, and

@@ -21,13 +21,28 @@ class Record:
     """Base of the immutable records: equality and hash on the type and the
     fields named in ``_compared`` (every slot unless a class names fewer),
     the repr ``Name(field=value, ...)`` over the same fields, and
-    ``AttributeError`` on assignment or deletion.  Each ``__init__`` sets
-    its slots with ``object.__setattr__``."""
+    ``AttributeError`` on assignment or deletion.
+
+    ``__init__`` is generated once per class from ``__slots__``: one
+    parameter per slot, in order, with the defaults a class names in
+    ``_defaults``; it ends with ``self.__post_init__()`` when the class has
+    one, so that check sees every slot set."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._compared = cls.__dict__.get("_compared", cls.__slots__)
+        # compiled source, as namedtuple builds its __new__: a loop over the
+        # slots would cost more per record and hide the signature
+        defaults = cls.__dict__.get("_defaults", {})
+        params = "".join(f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in cls.__slots__)
+        body = [f"object.__setattr__(self, {f!r}, {f})" for f in cls.__slots__]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"_d": defaults}
+        exec(f"def __init__(self{params}):\n " + "\n ".join(body), namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._compared])
@@ -54,11 +69,6 @@ class Record:
 
 class Graph(Record):
     __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        self.__post_init__()
 
     def __post_init__(self):
         # One pass checks each edge once; the converting scan below runs only
@@ -115,11 +125,6 @@ class Graph(Record):
 class Classification(Record):
     __slots__ = ("is_tree", "is_bipartite", "is_connected")
 
-    def __init__(self, is_tree: bool, is_bipartite: bool, is_connected: bool):
-        object.__setattr__(self, "is_tree", is_tree)
-        object.__setattr__(self, "is_bipartite", is_bipartite)
-        object.__setattr__(self, "is_connected", is_connected)
-
 
 class RootedTree(Record):
     """A tree rooted at ``root``: parent pointers and parent edges (None at
@@ -132,17 +137,6 @@ class RootedTree(Record):
 
     __slots__ = ("graph", "root", "parent", "parent_edge", "depth", "order", "down")
     _compared = __slots__[:-1]  # not ``down``: it follows from the rest
-
-    def __init__(self, graph: Graph, root: int, parent: tuple[Optional[int], ...],
-                 parent_edge: tuple[Optional[int], ...], depth: tuple[int, ...],
-                 order: tuple[int, ...], down: list[Sequence[int]]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "parent_edge", parent_edge)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "down", down)
 
     def child_edges(self) -> list[Sequence[int]]:
         """Per-vertex downward edge ids in ascending order: the rows the

@@ -39,11 +39,7 @@ _FIRST_CAP = {Family.REGULAR_OR_LOCALLY_IRREGULAR: 1, Family.MIXED: 2}
 
 class OracleBudget(Record):
     __slots__ = ("max_edges", "max_parts")
-
-    def __init__(self, max_edges: int = 16, max_parts: int = 4):
-        object.__setattr__(self, "max_edges", max_edges)
-        object.__setattr__(self, "max_parts", max_parts)
-        self.__post_init__()
+    _defaults = {"max_edges": 16, "max_parts": 4}
 
     def __post_init__(self):
         if self.max_edges > _HARD_EDGE_CAP:

@@ -24,11 +24,6 @@ class NaeFormula(Record):
 
     __slots__ = ("num_vars", "clauses")
 
-    def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "clauses", clauses)
-        self.__post_init__()
-
     def __post_init__(self):
         for cl in self.clauses:
             if len(cl) not in (2, 3):
@@ -172,17 +167,9 @@ def partition_from_labels(g: Graph, labels: Sequence[int]) -> EdgePartition:
 class Gadget(Record):
     __slots__ = ("name", "graph", "ports")
 
-    def __init__(self, name: str, graph: Graph, ports: dict[str, int]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "ports", ports)
-
 
 class GadgetSet(Record):
     __slots__ = ("gadgets",)
-
-    def __init__(self, gadgets: dict[str, Gadget]):
-        object.__setattr__(self, "gadgets", gadgets)
 
     def get(self, name: str) -> Gadget:
         if name not in self.gadgets:
@@ -193,24 +180,11 @@ class GadgetSet(Record):
 class ReductionResult(Record):
     __slots__ = ("graph", "variable_vertices", "clause_ports")
 
-    def __init__(self, graph: Graph, variable_vertices: tuple[int, ...],
-                 clause_ports: tuple[int, ...]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "variable_vertices", variable_vertices)
-        object.__setattr__(self, "clause_ports", clause_ports)
-
 
 class _VariantRules(Record):
+    # clause3, clause2: (gadget, port) for a 3-clause and a 2-clause;
+    # extra_bases: K_{a,b} shapes
     __slots__ = ("clause3", "clause2", "base_gadgets", "extra_bases", "allowed_degrees")
-
-    def __init__(self, clause3: tuple[str, str], clause2: tuple[str, str],
-                 base_gadgets: tuple[str, ...], extra_bases: tuple[tuple[int, int], ...],
-                 allowed_degrees: frozenset[int]):
-        object.__setattr__(self, "clause3", clause3)  # (gadget, port) for a 3-clause
-        object.__setattr__(self, "clause2", clause2)  # (gadget, port) for a 2-clause
-        object.__setattr__(self, "base_gadgets", base_gadgets)
-        object.__setattr__(self, "extra_bases", extra_bases)  # K_{a,b} shapes
-        object.__setattr__(self, "allowed_degrees", allowed_degrees)
 
 
 _RULES = {

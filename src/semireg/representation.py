@@ -21,22 +21,12 @@ from .graph import Graph, Record, complement, neighbor_masks, parse_int
 class Representation(Record):
     __slots__ = ("r", "labels")
 
-    def __init__(self, r: int, labels: tuple[int, ...]):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "labels", labels)
-
 
 class PrimePlan(Record):
     """Build record: matchings of the complement, one prime per matching,
     and the per-vertex residue vector."""
 
     __slots__ = ("matchings", "primes", "coordinates")
-
-    def __init__(self, matchings: tuple[tuple[int, ...], ...], primes: tuple[int, ...],
-                 coordinates: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "matchings", matchings)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "coordinates", coordinates)
 
 
 def verify_representation(g: Graph, rep: Representation) -> bool:
@@ -71,9 +61,7 @@ def _coprime_mask(r: int) -> int:
     return mask
 
 
-def rep_search(
-    g: Graph, r_max: int, fix_first_label: bool = True
-) -> Optional[Representation]:
+def rep_search(g: Graph, r_max: int) -> Optional[Representation]:
     """Least modulus r <= r_max admitting a representation, with a witness.
 
     Depth-first over vertex labels, lowest label first, with no recursion:
@@ -81,8 +69,7 @@ def rep_search(
     difference to every placed label is coprime to r exactly where the
     vertices are adjacent.  Since gcd(x, r) = gcd(r - x, r), label
     differences matter only modulo r, so every representation can be
-    translated to one containing label 0; ``fix_first_label`` exploits that
-    (and can be disabled to cross-check).
+    translated to one containing label 0, and vertex 0 takes label 0.
     """
     if not g.is_simple():
         raise ValueError("representations are defined for simple graphs")
@@ -98,7 +85,7 @@ def rep_search(
         # never labels[j] itself as gcd(0, r) = r; far[j]: the others but
         # labels[j], so no label is placed twice
         labels, near, far = [0] * n, [0] * n, [0] * n
-        untried = [1 if fix_first_label else full] + [0] * n
+        untried = [1] + [0] * n
         i = 0
         while 0 <= i < n:
             m = untried[i]

@@ -67,7 +67,6 @@ def _covering_tuples(ds: Collection[int], delta: int, c: int) -> Iterator[tuple[
 
 def vertex_feasible(
     free_slots: int,
-    forced_counts: Sequence[int],
     parent_color: Optional[int],
     forbidden: Sequence[Collection[int]],
     targets: Sequence[Collection[int]],
@@ -75,11 +74,11 @@ def vertex_feasible(
     """Color the free downward edges at one vertex, or report impossibility.
 
     For each color k the total count at the vertex -- free edges given k,
-    plus already-forced edges, plus the parent edge if it carries k -- must
-    land in ``targets[k]``.  Free edge i may not take a color in
-    ``forbidden[i]``.  Returns one color per free slot (deterministically
-    the lexicographically smallest feasible target vector, filling low
-    slots with low colors first), or None.
+    plus the parent edge if it carries k -- must land in ``targets[k]``.
+    Free edge i may not take a color in ``forbidden[i]``.  Returns one
+    color per free slot (deterministically the lexicographically smallest
+    feasible target vector, filling low slots with low colors first), or
+    None.
 
     Enumerates the <= 3^c per-color target vectors and solves each exact
     assignment by augmenting paths, which replaces a general
@@ -87,14 +86,12 @@ def vertex_feasible(
     It is the forest split's vertex step for c != 2.
     """
     c = len(targets)
-    if len(forced_counts) != c:
-        raise ValueError("forced_counts and targets must have equal length")
     if len(forbidden) != free_slots:
         raise ValueError("one forbidden set per free slot required")
     options = [sorted(set(t)) for t in targets]
     parent_add = [1 if parent_color == k else 0 for k in range(c)]
     for vector in itertools.product(*options):
-        req = [vector[k] - forced_counts[k] - parent_add[k] for k in range(c)]
+        req = [vector[k] - parent_add[k] for k in range(c)]
         if any(r < 0 for r in req) or sum(req) != free_slots:
             continue
         assignment = _assign_exact(free_slots, forbidden, req)
@@ -206,11 +203,10 @@ def _many_step(alphas: tuple[int, ...]) -> Callable[..., bool]:
     """The vertex step of ``_split`` for any c: ``vertex_feasible``, every
     downward edge a slot whose forbidden set is its banned labels."""
     targets = [{0, 1, a} for a in alphas]
-    no_forced = [0] * len(alphas)
     label_sets = _LabelSets()
 
     def step(edges, banned, p, labels):
-        colors = vertex_feasible(len(edges), no_forced, p, [label_sets[banned[e]] for e in edges], targets)
+        colors = vertex_feasible(len(edges), p, [label_sets[banned[e]] for e in edges], targets)
         if colors is not None and labels is not None:
             for e, k in zip(edges, colors):
                 labels[e] = k

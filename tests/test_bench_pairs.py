@@ -2,6 +2,7 @@
 benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,40 @@ def test_seed_ranges():
 def test_one_seed_is_refused_before_any_run():
     with pytest.raises(SystemExit):
         bench_pairs.main(["parent", "change", "--workload", "exact-small", "--seeds", "7", "--pr", "1"])
+
+
+def _checkout(root, modules):
+    """A synthetic checkout: the real line counter and a package of
+    ``modules`` (name -> source)."""
+    (root / "tools").mkdir(parents=True)
+    (root / "tools" / "src_lines.py").write_text((_PATH.parent / "src_lines.py").read_text())
+    pkg = root / "src" / "semireg"
+    pkg.mkdir(parents=True)
+    for name, source in modules.items():
+        (pkg / name).write_text(source)
+    return root
+
+
+def test_src_lines_of_each_side_go_into_the_workload_block(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "parent", {
+        "a.py": '"""Doc."""\n\nx = 1  # one\n# comment\n',
+        "b.py": "def f():\n    '''Doc\n    more.'''\n    return 2\n",
+    })
+    change = _checkout(tmp_path / "change", {"a.py": "x = 1\n"})
+    assert bench_pairs.src_lines(parent) == [8, 3]
+    assert bench_pairs.src_lines(change) == [1, 1]
+
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": n, "better": b} for n, b in _DIRECTIONS.items()]}))
+    runs = []
+
+    def fake_run(checkout, copy, workload, seed, seconds):
+        runs.append((checkout.name, seed))
+        return dict(_record(10, 1.0, 30.0), nproc=2, cpu_model="cpu", python="3")
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1-2", "--pr", "9"]) == 0
+    assert runs == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    block = json.loads((tmp_path / "BENCH_9.json").read_text())["workloads"]["w"]
+    assert block["src_lines"] == {"parent": [8, 3], "change": [1, 1]}

@@ -198,3 +198,34 @@ def test_start_up_imports_neither_dataclasses_nor_inspect(tmp_path):
         modules = _imported(argv, tmp_path)
         assert {"semireg", "semireg.graph"} <= modules
         assert not {"dataclasses", "inspect"} & modules, argv
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda c: c.__qualname__)
+def test_generated_constructor_takes_exactly_the_slots(cls):
+    values, _ = _RECORDS[cls]
+    kwargs = dict(zip(cls.__slots__, values))
+    assert cls(**dict(reversed(kwargs.items()))) == cls(*values) == cls(**kwargs)
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    params = inspect.signature(cls).parameters.values()
+    required = sum(p.default is p.empty for p in params)
+    if required:
+        with pytest.raises(TypeError, match="missing 1 required positional argument"):
+            cls(*values[:required - 1])
+    with pytest.raises(TypeError, match="positional argument"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*values, extra=None)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*values, **{cls.__slots__[0]: values[0]})
+
+
+def test_post_init_sees_every_slot_set():
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph(edges=((0, 0),), n=2)
+    with pytest.raises(ValueError, match="invalid part"):
+        EdgePartition(part=(0, 2), k=2)
+    with pytest.raises(ValueError, match="out of range"):
+        NaeFormula(clauses=((0, 2),), num_vars=2)
+    with pytest.raises(ValueError, match="invalid budget"):
+        OracleBudget(max_parts=0, max_edges=3)
+    assert [p.default for p in inspect.signature(OracleBudget).parameters.values()] == [16, 4]

@@ -55,29 +55,29 @@ def test_candidate_pairs_cover_necessary_condition():
 
 def test_vertex_feasible_examples():
     # five free edges, no parent: 1 + 4 split
-    got = vertex_feasible(5, [0, 0], None, [frozenset()] * 5, [{0, 1, 1}, {0, 1, 4}])
+    got = vertex_feasible(5, None, [frozenset()] * 5, [{0, 1, 1}, {0, 1, 4}])
     assert got == [0, 1, 1, 1, 1]
 
     # two free edges with one color whose counts allow only 0, 1, or 3
-    assert vertex_feasible(2, [0], None, [frozenset()] * 2, [{0, 1, 3}]) is None
+    assert vertex_feasible(2, None, [frozenset()] * 2, [{0, 1, 3}]) is None
 
     # no free edges, parent carries color 0
-    assert vertex_feasible(0, [0], 0, [], [{0, 1, 4}]) == []
+    assert vertex_feasible(0, 0, [], [{0, 1, 4}]) == []
 
     # no colors at all: the one empty target vector colors nothing
-    assert vertex_feasible(0, [], None, [], []) == []
+    assert vertex_feasible(0, None, [], []) == []
 
 
 def test_vertex_feasible_respects_forbidden_sets():
-    got = vertex_feasible(2, [0, 0], None, [{0}, set()], [{0, 1}, {0, 1}])
+    got = vertex_feasible(2, None, [{0}, set()], [{0, 1}, {0, 1}])
     assert got == [1, 0]
-    assert vertex_feasible(2, [0, 0], None, [{0}, {0}], [{0, 2}, {0, 1}]) is None
+    assert vertex_feasible(2, None, [{0}, {0}], [{0, 2}, {0, 1}]) is None
 
 
 def test_vertex_feasible_leaves_no_cyclic_garbage():
     # both calls reach the exact slot assignment: one succeeds, one fails
-    assert cyclic_garbage(lambda: vertex_feasible(5, [0, 0], None, [frozenset()] * 5, [{0, 1, 1}, {0, 1, 4}])) == 0
-    assert cyclic_garbage(lambda: vertex_feasible(2, [0, 0], None, [{0}, {0}], [{0, 2}, {0, 1}])) == 0
+    assert cyclic_garbage(lambda: vertex_feasible(5, None, [frozenset()] * 5, [{0, 1, 1}, {0, 1, 4}])) == 0
+    assert cyclic_garbage(lambda: vertex_feasible(2, None, [{0}, {0}], [{0, 2}, {0, 1}])) == 0
 
 
 def test_partition_two_forests_star():
@@ -121,7 +121,8 @@ def test_forest_split_parts_hit_their_degree_targets():
 
 def _reference_two_forests(rt, alpha, beta):
     """The two-forest split with the general vertex step: one
-    ``vertex_feasible`` call per vertex, forced edges counted apart."""
+    ``vertex_feasible`` call per vertex, forced edges counted apart by
+    shifting the targets down."""
     m = rt.graph.m
     down = rt.child_edges()
     targets = ({0, 1, alpha}, {0, 1, beta})
@@ -138,9 +139,8 @@ def _reference_two_forests(rt, alpha, beta):
                     forced_counts[forced[e]] += 1
                 else:
                     free.append(e)
-            colors = vertex_feasible(
-                len(free), forced_counts, parent_color, [frozenset()] * len(free), targets
-            )
+            shifted = [{t - f for t in ts if t >= f} for ts, f in zip(targets, forced_counts)]
+            colors = vertex_feasible(len(free), parent_color, [frozenset()] * len(free), shifted)
             if colors is None:
                 if pe is None or forced[pe] != -1:
                     return None
@@ -224,7 +224,6 @@ def _reference_forests(t, alphas):
         return EdgePartition(c, ())
     down = rt.child_edges()
     targets = [{0, 1, a} for a in alphas]
-    zeros = [0] * c
 
     forbid: list[set[int]] = [set() for _ in range(g.m)]
     restarts = 0
@@ -236,7 +235,7 @@ def _reference_forests(t, alphas):
             parent_color = labels[pe] if pe is not None else None
             edges = down[v]
             colors = vertex_feasible(
-                len(edges), zeros, parent_color,
+                len(edges), parent_color,
                 [forbid[e] for e in edges], targets,
             )
             if colors is None:

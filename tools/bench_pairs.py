@@ -16,9 +16,11 @@ end-to-end metric (names and directions from the parent's
 ``BENCHMARK.json``) the median and quartiles of each side, the change in
 percent, and the pairs the change wins and loses, for the figure the
 harness reports and for its unscaled ``wall`` figure where there is one.
-The output file is ``BENCH_<pr>.json`` in the working directory.  An
-existing one is read first, and only the block of this workload is
-replaced, so one file can collect several series.
+Each block also holds ``src_lines``: per side the total and code-only
+line counts of the package, as that checkout's own ``tools/src_lines.py``
+prints them.  The output file is ``BENCH_<pr>.json`` in the working
+directory.  An existing one is read first, and only the block of this
+workload is replaced, so one file can collect several series.
 """
 
 from __future__ import annotations
@@ -116,6 +118,14 @@ def run_once(checkout: Path, copy: Path, workload: str, seed: int, seconds: floa
         shutil.rmtree(copy, ignore_errors=True)
 
 
+def src_lines(checkout: Path) -> list[int]:
+    """[total, code only] for ``checkout``'s package: the last row of its
+    own ``tools/src_lines.py``."""
+    out = subprocess.run([sys.executable, str(checkout / "tools" / "src_lines.py")],
+                         capture_output=True, text=True, check=True).stdout
+    return [int(x) for x in out.splitlines()[-1].split("\t")[1:]]
+
+
 def parse_seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -142,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((dirs["parent"] / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
+    lines = {s: src_lines(dirs[s]) for s in SIDES}
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     records: dict[str, list[dict]] = {s: [] for s in SIDES}
     try:
@@ -155,6 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     block = summarize(args.seeds, records, directions)
+    block["src_lines"] = lines
     out = Path(f"BENCH_{args.pr}.json")
     doc = json.loads(out.read_text()) if out.exists() else {}
     first = records["parent"][0]
