@@ -127,21 +127,17 @@ class Classification(Record):
 
 
 class RootedTree(Record):
-    """A tree rooted at ``root``: parent pointers and parent edges (None at
-    the root), depths, a scan order and the downward edges of every vertex.
+    """A rooted tree: each vertex's parent edge (None at the root), a scan
+    order and each vertex's downward edge ids in ascending order.
 
-    ``order`` lists every vertex after its parent: ``bfs_root`` orders by
-    (depth, id), the tree algorithms by reversed leaf-peeling order.  A
-    leaf's row in ``down`` may be a shared empty tuple.
+    ``order`` lists every vertex after its parent and starts at the root:
+    ``bfs_root`` orders by (depth, id), the tree algorithms by reversed
+    leaf-peeling order.  The rows of ``down`` are shared with every reader,
+    so do not modify them; a leaf's row may be a shared empty tuple.
     """
 
-    __slots__ = ("graph", "root", "parent", "parent_edge", "depth", "order", "down")
+    __slots__ = ("graph", "parent_edge", "order", "down")
     _compared = __slots__[:-1]  # not ``down``: it follows from the rest
-
-    def child_edges(self) -> list[Sequence[int]]:
-        """Per-vertex downward edge ids in ascending order: the rows the
-        rooting built, shared with every caller, so do not modify them."""
-        return self.down
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +293,9 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
 
     Runs in O(n) without sorting.  Each vertex's incident edge ids are
     listed in id order; dropping its parent edge when the BFS reaches it
-    leaves its downward edges in ascending order, which ``child_edges``
-    returns.  In a tree the parents and depths do not depend on the visiting
-    order, and ``order`` is bucketed per depth in id order.
+    leaves its downward edges in ascending order, the rows of ``down``.
+    In a tree the depths do not depend on the visiting order, and
+    ``order`` is bucketed per depth in id order.
     """
     n, edges = g.n, g.edges
     if len(edges) != n - 1:
@@ -307,7 +303,6 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
     if not 0 <= v < n:
         raise ValueError(f"root {v} out of range")
     down = incident_edges(n, edges)
-    parent: list[Optional[int]] = [None] * n
     parent_edge: list[Optional[int]] = [None] * n
     depth = [-1] * n
     depth[v] = 0
@@ -319,7 +314,6 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
             w = b if a == x else a
             if depth[w] == -1:
                 depth[w] = d
-                parent[w] = x
                 parent_edge[w] = e
                 down[w].remove(e)
                 queue.append(w)
@@ -328,8 +322,7 @@ def bfs_root(g: Graph, v: int) -> RootedTree:
     layers: list[list[int]] = [[] for _ in range(max(depth) + 1)]
     for x in range(n):
         layers[depth[x]].append(x)
-    return RootedTree(graph=g, root=v, parent=tuple(parent), parent_edge=tuple(parent_edge),
-                      depth=tuple(depth), order=tuple(chain.from_iterable(layers)), down=down)
+    return RootedTree(g, tuple(parent_edge), tuple(chain.from_iterable(layers)), down)
 
 
 # ---------------------------------------------------------------------------

@@ -68,17 +68,21 @@ def _covering_tuples(ds: Collection[int], delta: int, c: int) -> Iterator[tuple[
 def vertex_feasible(
     free_slots: int,
     parent_color: Optional[int],
-    forbidden: Sequence[Collection[int]],
+    forbidden: Sequence[int],
     targets: Sequence[Collection[int]],
 ) -> Optional[list[int]]:
     """Color the free downward edges at one vertex, or report impossibility.
 
     For each color k the total count at the vertex -- free edges given k,
     plus the parent edge if it carries k -- must land in ``targets[k]``.
-    Free edge i may not take a color in ``forbidden[i]``.  Returns one
-    color per free slot (deterministically the lexicographically smallest
-    feasible target vector, filling low slots with low colors first), or
-    None.
+    Free edge i may not take color k if bit k of the mask ``forbidden[i]``
+    is set.  Returns one color per free slot, or None.
+
+    The answer is deterministic: it meets the first target vector, in
+    product order over the sorted target sets, that admits an assignment.
+    Slots are placed in order, each on the lowest color with room; if no
+    color has room, an augmenting reroute places the slot, and that reroute
+    can move an earlier slot to a higher color.
 
     Enumerates the <= 3^c per-color target vectors and solves each exact
     assignment by augmenting paths, which replaces a general
@@ -87,7 +91,7 @@ def vertex_feasible(
     """
     c = len(targets)
     if len(forbidden) != free_slots:
-        raise ValueError("one forbidden set per free slot required")
+        raise ValueError("one forbidden mask per free slot required")
     options = [sorted(set(t)) for t in targets]
     parent_add = [1 if parent_color == k else 0 for k in range(c)]
     for vector in itertools.product(*options):
@@ -100,7 +104,7 @@ def vertex_feasible(
     return None
 
 
-def _assign_exact(slots: int, forbidden: Sequence[Collection[int]], capacity: list[int]) -> Optional[list[int]]:
+def _assign_exact(slots: int, forbidden: Sequence[int], capacity: list[int]) -> Optional[list[int]]:
     """Assign each slot one color, exactly ``capacity[k]`` slots per color."""
     color_of = [-1] * slots
     holders: list[list[int]] = [[] for _ in capacity]
@@ -110,20 +114,20 @@ def _assign_exact(slots: int, forbidden: Sequence[Collection[int]], capacity: li
     return color_of
 
 
-def _place(slot: int, visited: set[int], forbidden: Sequence[Collection[int]], capacity: list[int],
+def _place(slot: int, visited: set[int], forbidden: Sequence[int], capacity: list[int],
            holders: list[list[int]], color_of: list[int]) -> bool:
     """Give ``slot`` a color for ``_assign_exact``: free capacity on the
     smallest color, else reroute a holder of an unvisited color."""
     c = len(capacity)
     for k in range(c):
-        if k in forbidden[slot]:
+        if forbidden[slot] >> k & 1:
             continue
         if len(holders[k]) < capacity[k]:
             holders[k].append(slot)
             color_of[slot] = k
             return True
     for k in range(c):
-        if capacity[k] == 0 or k in visited or k in forbidden[slot]:
+        if capacity[k] == 0 or k in visited or forbidden[slot] >> k & 1:
             continue
         visited.add(k)
         for idx, other in enumerate(holders[k]):
@@ -154,14 +158,6 @@ def partition_forests(t: Graph | RootedTree, alphas: Sequence[int]) -> Optional[
     if min(alphas) < 1:
         raise ValueError("alphas must be >= 1")
     return _split(_require_rooted(t), tuple(alphas))
-
-
-class _LabelSets(dict):
-    """Banned-label sets by mask, each built on first use."""
-
-    def __missing__(self, mask: int) -> frozenset[int]:
-        labels = self[mask] = frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
-        return labels
 
 
 def _two_step(alphas: tuple[int, ...]) -> Callable[..., bool]:
@@ -201,12 +197,11 @@ def _two_step(alphas: tuple[int, ...]) -> Callable[..., bool]:
 
 def _many_step(alphas: tuple[int, ...]) -> Callable[..., bool]:
     """The vertex step of ``_split`` for any c: ``vertex_feasible``, every
-    downward edge a slot whose forbidden set is its banned labels."""
+    downward edge a slot whose forbidden mask is its ban mask."""
     targets = [{0, 1, a} for a in alphas]
-    label_sets = _LabelSets()
 
     def step(edges, banned, p, labels):
-        colors = vertex_feasible(len(edges), p, [label_sets[banned[e]] for e in edges], targets)
+        colors = vertex_feasible(len(edges), p, [banned[e] for e in edges], targets)
         if colors is not None and labels is not None:
             for e, k in zip(edges, colors):
                 labels[e] = k
@@ -236,7 +231,7 @@ def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
     """
     c = len(alphas)
     step = _two_step(alphas) if c == 2 else _many_step(alphas)
-    down = rt.child_edges()
+    down = rt.down
     parent_edge = rt.parent_edge
     banned = [0] * rt.graph.m
     for second in (False, True):
@@ -301,7 +296,7 @@ def _first_split(t: Graph, deg: list[int], c: int) -> Optional[EdgePartition]:
     if first is None:
         return None
     rt = _rooted(t, order, parent)
-    del order, parent  # the tree keeps tuples of both: drop the lists before the search
+    del order, parent  # the tree keeps a tuple of the order: drop the lists before the search
     for alphas in itertools.chain((first,), tuples):
         if (result := partition_forests(rt, alphas)) is not None:
             return result
@@ -346,7 +341,7 @@ def _ranks(t: Graph, parent: list[int]) -> tuple[list[int], list[int], list[int]
     """One pass over the edges of a peeled tree in id order: each edge's
     lower end, and per vertex its downward edge count and its parent
     edge's index among its parent's downward edges, which is its index in
-    ``RootedTree.child_edges``."""
+    its parent's row of ``RootedTree.down``."""
     low = []
     count = [0] * t.n
     rank = [0] * t.n
@@ -361,9 +356,9 @@ def _ranks(t: Graph, parent: list[int]) -> tuple[list[int], list[int], list[int]
 
 def _rooted(t: Graph, order: list[int], parent: list[int]) -> RootedTree:
     """The ``RootedTree`` of a tree that ``_peel`` returned ``order`` and
-    ``parent`` for; it uses both up.  Its order is the root, then the
-    peeling order reversed, so parents come first; each vertex's downward
-    edges are in id order, and leaves share one empty tuple."""
+    ``parent`` for; it reverses ``order`` in place.  Its order is the root,
+    then the peeling order reversed, so parents come first; each vertex's
+    downward edges are in id order, and leaves share one empty tuple."""
     low, count, rank = _ranks(t, parent)
     down = [[0] * k if k else () for k in count]
     del count
@@ -371,13 +366,9 @@ def _rooted(t: Graph, order: list[int], parent: list[int]) -> RootedTree:
     for e, v in enumerate(low):
         down[parent[v]][rank[v]] = parent_edge[v] = e
     del low, rank
-    depth = [0] * t.n
-    for v in reversed(order):
-        depth[v] = depth[parent[v]] + 1
     order.append(0)
     order.reverse()
-    parent[0] = None
-    return RootedTree(t, 0, tuple(parent), tuple(parent_edge), tuple(depth), tuple(order), down)
+    return RootedTree(t, tuple(parent_edge), tuple(order), down)
 
 
 def log_tree_partition(t: Graph) -> EdgePartition:

@@ -7,7 +7,7 @@ import itertools
 import random
 from collections import deque
 
-from semireg import Graph, decode_tree
+from semireg import Graph, RootedTree, decode_tree
 
 
 def cyclic_garbage(call) -> int:
@@ -87,9 +87,7 @@ def planted_tree(n: int, alpha: int, beta: int, rng: random.Random) -> Graph:
 
 class WalkCounter(tuple):
     """A BFS order that counts how often it is walked, forwards or
-    backwards; swap it into a rooted tree by rebuilding it with the same
-    fields: ``RootedTree(rt.graph, rt.root, rt.parent, rt.parent_edge,
-    rt.depth, WalkCounter(rt.order), rt.down)``."""
+    backwards; ``walk_counting`` swaps it into a rooted tree."""
 
     walks = 0
 
@@ -100,6 +98,11 @@ class WalkCounter(tuple):
     def __reversed__(self):
         self.walks += 1
         return iter(self[::-1])
+
+
+def walk_counting(rt: RootedTree) -> RootedTree:
+    """``rt`` with its order replaced by a ``WalkCounter``."""
+    return RootedTree(rt.graph, rt.parent_edge, WalkCounter(rt.order), rt.down)
 
 
 def reference_bfs_root(g: Graph, v: int):

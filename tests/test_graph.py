@@ -201,17 +201,17 @@ def test_neighbor_masks():
 def test_bfs_root():
     p3 = path(3)
     rt = bfs_root(p3, 0)
-    assert rt.depth == (0, 1, 2)
     assert rt.order == (0, 1, 2)
-    assert rt.parent[0] is None and rt.parent[2] == 1
+    assert rt.parent_edge == (None, 0, 1) and rt.down == [[0], [1], []]
 
     k14 = star(4)
     rt = bfs_root(k14, 0)
-    assert all(rt.depth[v] == 1 for v in range(1, 5))
+    assert rt.order == (0, 1, 2, 3, 4)
+    assert rt.parent_edge == (None, 0, 1, 2, 3) and rt.down[0] == [0, 1, 2, 3]
 
     rt = bfs_root(p3, 1)
-    assert sorted(rt.depth) == [0, 1, 1]
     assert rt.order == (1, 0, 2)
+    assert rt.parent_edge == (0, None, 1) and rt.down == [[], [0, 1], []]
 
     with pytest.raises(ValueError):
         bfs_root(cycle(4), 0)
@@ -237,11 +237,11 @@ def _rooted_trees(draw):
 def test_bfs_root_order_and_child_edges(tree_and_root):
     t, root = tree_and_root
     rt = bfs_root(t, root)
-    assert (rt.parent, rt.parent_edge, rt.depth, rt.order, rt.child_edges()) == reference_bfs_root(t, root)
-    assert rt.order == tuple(sorted(range(t.n), key=lambda x: (rt.depth[x], x)))
+    parent, parent_edge, depth, order, down = reference_bfs_root(t, root)
+    assert (rt.parent_edge, rt.order, rt.down) == (parent_edge, order, down)
+    assert rt.order == tuple(sorted(range(t.n), key=lambda x: (depth[x], x)))
     position = {v: i for i, v in enumerate(rt.order)}
-    assert all(position[rt.parent[v]] < position[v] for v in range(t.n) if v != root)
-    down = rt.child_edges()
+    assert all(position[parent[v]] < position[v] for v in range(t.n) if v != root)
     assert all(a < b for lst in down for a, b in zip(lst, lst[1:]))
     assert sorted(e for lst in down for e in lst) == sorted(
         rt.parent_edge[v] for v in range(t.n) if v != root

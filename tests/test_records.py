@@ -47,7 +47,7 @@ _GADGET = Gadget("H", _G, {"a": 0})
 _RECORDS = {
     Graph: ((3, ((0, 1), (1, 2))), 4),
     Classification: ((True, False, True), False),
-    RootedTree: ((_G, 0, _RT.parent, _RT.parent_edge, _RT.depth, _RT.order, _RT.down), path(4)),
+    RootedTree: ((_G, _RT.parent_edge, _RT.order, _RT.down), path(4)),
     EdgePartition: ((2, (0, 1)), 3),
     ProperEdgeColoring: (((0, 1), 2), (1, 0)),
     TwoFactorization: ((((0, 1, 2),),), ()),
@@ -131,7 +131,7 @@ def test_rooted_tree_equality_and_repr_leave_out_down():
     b = RootedTree(*values[:-1], [[] for _ in values[-1]])
     assert a == b and hash(a) == hash(b)
     assert "down" not in repr(a)
-    assert repr(a).startswith("RootedTree(graph=Graph(n=3, edges=((0, 1), (1, 2))), root=0, ")
+    assert repr(a) == "RootedTree(graph=Graph(n=3, edges=((0, 1), (1, 2))), parent_edge=(None, 0, 1), order=(0, 1, 2))"
 
 
 def test_records_validate_as_before():

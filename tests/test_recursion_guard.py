@@ -6,7 +6,6 @@ import sys
 
 from semireg import (
     Graph,
-    RootedTree,
     bfs_root,
     four_regularize,
     log_tree_partition,
@@ -18,7 +17,7 @@ from semireg import (
     wr2_deg4,
     wr2_tree,
 )
-from helpers import WalkCounter, random_path_deg4_graph
+from helpers import random_path_deg4_graph, walk_counting
 
 
 def _caterpillar(spine: int, rng: random.Random) -> Graph:
@@ -77,8 +76,7 @@ def test_constructions_do_not_recurse_with_input_size():
     host, _ = four_regularize(random_path_deg4_graph(1000, rng))
     prism = _prism(3300)
     planted = bfs_root(_planted_caterpillar(5001, rng), 0)  # depth 5000
-    counted = RootedTree(planted.graph, planted.root, planted.parent, planted.parent_edge,
-                         planted.depth, WalkCounter(planted.order), planted.down)
+    counted = walk_counting(planted)
     calls = [
         lambda: sr_tree(tree),
         lambda: log_tree_partition(tree),

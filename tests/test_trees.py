@@ -32,7 +32,16 @@ from semireg import (
 )
 from semireg import trees
 from semireg.oracles import OracleBudget
-from helpers import WalkCounter, cyclic_garbage, free_trees_with_edges, make_degree_tree, planted_tree, random_hub_tree, random_tree
+from helpers import (
+    cyclic_garbage,
+    free_trees_with_edges,
+    make_degree_tree,
+    planted_tree,
+    random_hub_tree,
+    random_tree,
+    reference_bfs_root,
+    walk_counting,
+)
 
 
 def test_candidate_pairs():
@@ -55,11 +64,11 @@ def test_candidate_pairs_cover_necessary_condition():
 
 def test_vertex_feasible_examples():
     # five free edges, no parent: 1 + 4 split
-    got = vertex_feasible(5, None, [frozenset()] * 5, [{0, 1, 1}, {0, 1, 4}])
+    got = vertex_feasible(5, None, [0] * 5, [{0, 1, 1}, {0, 1, 4}])
     assert got == [0, 1, 1, 1, 1]
 
     # two free edges with one color whose counts allow only 0, 1, or 3
-    assert vertex_feasible(2, None, [frozenset()] * 2, [{0, 1, 3}]) is None
+    assert vertex_feasible(2, None, [0] * 2, [{0, 1, 3}]) is None
 
     # no free edges, parent carries color 0
     assert vertex_feasible(0, 0, [], [{0, 1, 4}]) == []
@@ -69,15 +78,22 @@ def test_vertex_feasible_examples():
 
 
 def test_vertex_feasible_respects_forbidden_sets():
-    got = vertex_feasible(2, None, [{0}, set()], [{0, 1}, {0, 1}])
+    # bit k of a slot's mask bans color k
+    got = vertex_feasible(2, None, [0b1, 0], [{0, 1}, {0, 1}])
     assert got == [1, 0]
-    assert vertex_feasible(2, None, [{0}, {0}], [{0, 2}, {0, 1}]) is None
+    assert vertex_feasible(2, None, [0b1, 0b1], [{0, 2}, {0, 1}]) is None
+    # the last slot takes only color 0, held by then: the reroute moves
+    # slot 0 up to color 2, so the answer is not [1, 2, 0], the
+    # lexicographically smallest
+    assert vertex_feasible(3, None, [0, 0, 0b110], [{0, 1}] * 3) == [2, 1, 0]
+    # the reroute passes over color 0, which the last slot may not take
+    assert vertex_feasible(3, None, [0, 0, 0b101], [{0, 1}] * 3) == [0, 2, 1]
 
 
 def test_vertex_feasible_leaves_no_cyclic_garbage():
     # both calls reach the exact slot assignment: one succeeds, one fails
-    assert cyclic_garbage(lambda: vertex_feasible(5, None, [frozenset()] * 5, [{0, 1, 1}, {0, 1, 4}])) == 0
-    assert cyclic_garbage(lambda: vertex_feasible(2, None, [{0}, {0}], [{0, 2}, {0, 1}])) == 0
+    assert cyclic_garbage(lambda: vertex_feasible(5, None, [0] * 5, [{0, 1, 1}, {0, 1, 4}])) == 0
+    assert cyclic_garbage(lambda: vertex_feasible(2, None, [0b1, 0b1], [{0, 2}, {0, 1}])) == 0
 
 
 def test_partition_two_forests_star():
@@ -124,7 +140,7 @@ def _reference_two_forests(rt, alpha, beta):
     ``vertex_feasible`` call per vertex, forced edges counted apart by
     shifting the targets down."""
     m = rt.graph.m
-    down = rt.child_edges()
+    down = rt.down
     targets = ({0, 1, alpha}, {0, 1, beta})
     forced = [-1] * m
     while True:
@@ -140,7 +156,7 @@ def _reference_two_forests(rt, alpha, beta):
                 else:
                     free.append(e)
             shifted = [{t - f for t in ts if t >= f} for ts, f in zip(targets, forced_counts)]
-            colors = vertex_feasible(len(free), parent_color, [frozenset()] * len(free), shifted)
+            colors = vertex_feasible(len(free), parent_color, [0] * len(free), shifted)
             if colors is None:
                 if pe is None or forced[pe] != -1:
                     return None
@@ -222,7 +238,7 @@ def _reference_forests(t, alphas):
     g = rt.graph
     if g.m == 0:
         return EdgePartition(c, ())
-    down = rt.child_edges()
+    down = rt.down
     targets = [{0, 1, a} for a in alphas]
 
     forbid: list[set[int]] = [set() for _ in range(g.m)]
@@ -236,7 +252,7 @@ def _reference_forests(t, alphas):
             edges = down[v]
             colors = vertex_feasible(
                 len(edges), parent_color,
-                [forbid[e] for e in edges], targets,
+                [sum(1 << k for k in forbid[e]) for e in edges], targets,
             )
             if colors is None:
                 if pe is None:
@@ -300,18 +316,12 @@ def test_partition_forests_stops_when_an_edge_has_every_label_banned(monkeypatch
     assert stopped_after < calls["n"]
 
 
-def _walk_counting(t):
-    rt = bfs_root(t, 0)
-    return RootedTree(rt.graph, rt.root, rt.parent, rt.parent_edge, rt.depth,
-                      WalkCounter(rt.order), rt.down)
-
-
 @pytest.mark.parametrize("alpha, beta", [(1, 3), (3, 5)])
 def test_two_forest_split_of_a_planted_tree_walks_it_three_times(alpha, beta):
     # the first labelling fails, so the ban pass and a second labelling
     # run; a search that relabels after each ban walked a planted (1,3)
     # tree on 5000 vertices 124 times
-    rt = _walk_counting(planted_tree(20000, alpha, beta, random.Random(7)))
+    rt = walk_counting(bfs_root(planted_tree(20000, alpha, beta, random.Random(7)), 0))
     p = partition_two_forests(rt, alpha, beta)
     assert p is not None
     assert verify_partition(rt.graph, p, Family.WEAKLY_SEMIREGULAR)
@@ -321,7 +331,7 @@ def test_two_forest_split_of_a_planted_tree_walks_it_three_times(alpha, beta):
 def test_forest_split_of_a_planted_tree_takes_linear_vertex_steps(monkeypatch):
     calls = _count_vertex_steps(monkeypatch, trees)
     n, alphas = 5000, (1, 3, 5)
-    rt = _walk_counting(planted_tree(n, 3, 5, random.Random(7)))
+    rt = walk_counting(bfs_root(planted_tree(n, 3, 5, random.Random(7)), 0))
     p = partition_forests(rt, alphas)
     assert p is not None
     assert verify_partition(rt.graph, p, Family.WEAKLY_SEMIREGULAR)
@@ -410,7 +420,7 @@ def test_peeling_pass_is_the_tree_test_on_every_small_multigraph():
             if classify(g).is_tree:
                 order, parent = trees._peel(g, g.degrees())
                 assert sorted(order) == list(range(1, n))
-                assert parent[1:] == list(bfs_root(g, 0).parent[1:])
+                assert parent[1:] == list(reference_bfs_root(g, 0)[0][1:])
                 placed = {0}  # reversed, the order puts parents first
                 for v in reversed(order):
                     assert parent[v] in placed
@@ -681,21 +691,21 @@ def test_sr_tree_optimal_on_small_trees():
 
 
 def _reference_log_tree_partition(t):
-    """``log_tree_partition`` over ``bfs_root``'s child lists, verbatim."""
+    """``log_tree_partition`` over the reference BFS rooting's child lists
+    and depths, verbatim."""
     if t.m == 0:
         raise ValueError("tree has no edges")
-    rt = bfs_root(t, 0)
-    down = rt.child_edges()
+    _, _, depth, order, down = reference_bfs_root(t, 0)
     delta = max(t.degrees())
     offset = delta.bit_length() - 1 + 1  # floor(log2 delta) + 1
 
     label = [-1] * t.m
-    for v in rt.order:
+    for v in order:
         edges = down[v]
         # the binary value is d(v) at the root and d(v)-1 elsewhere, which
         # is the downward edge count either way
         value = len(edges)
-        base = offset if rt.depth[v] % 2 == 0 else 0
+        base = offset if depth[v] % 2 == 0 else 0
         pos = 0
         bit = 0
         while value:
@@ -717,7 +727,7 @@ def _reference_sr_tree(t):
     if t.m == 0:
         raise ValueError("tree has no edges")
     rt = bfs_root(t, 0)
-    down = rt.child_edges()
+    down = rt.down
     color = [-1] * t.m
     for v in rt.order:
         kids = down[v]
