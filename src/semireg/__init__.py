@@ -27,7 +27,6 @@ from .graph import (
     Graph,
     RootedTree,
     bfs_root,
-    build_named,
     classify,
     complement,
     complete,
@@ -39,7 +38,6 @@ from .graph import (
     path,
     serialize_graph,
     star,
-    to_dot,
 )
 from .oracles import (
     OracleBudget,

@@ -1,4 +1,4 @@
-"""Core graph type, named constructions, classification, and text formats.
+"""Core graph type, standard graphs, classification, and text formats.
 
 Vertices are dense integers 0..n-1.  Edges are an ordered list of unordered
 pairs; the position of a pair in the list is its stable edge id.  Parallel
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ParseError
 
@@ -141,7 +141,7 @@ class RootedTree(Record):
 
 
 # ---------------------------------------------------------------------------
-# named constructions
+# standard graphs
 # ---------------------------------------------------------------------------
 
 def complete(n: int) -> Graph:
@@ -185,33 +185,6 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
         edges.extend((u + n, v + n) for u, v in g.edges)
         n += g.n
     return Graph(n, tuple(edges))
-
-
-_NAMED = {
-    "complete": (complete, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "cycle": (cycle, 1),
-    "path": (path, 1),
-    "star": (star, 1),
-}
-
-
-def build_named(kind: str, params: Sequence) -> Graph:
-    """Instantiate a standard graph by name.
-
-    ``kind`` is one of complete, complete_bipartite, cycle, path, star
-    (integer params) or disjoint_union (a list of graphs).
-    """
-    if kind == "disjoint_union":
-        if not all(isinstance(g, Graph) for g in params):
-            raise ValueError("disjoint_union expects a list of graphs")
-        return disjoint_union(list(params))
-    if kind not in _NAMED:
-        raise ValueError(f"unknown graph kind {kind!r}")
-    fn, arity = _NAMED[kind]
-    if len(params) != arity:
-        raise ValueError(f"{kind} expects {arity} parameter(s), got {len(params)}")
-    return fn(*[int(p) for p in params])
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +380,4 @@ def _edge_line_error(lines: list[str], n: int, m: int) -> ParseError:
 def serialize_graph(g: Graph) -> str:
     out = [f"{g.n} {g.m}"]
     out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
-
-
-def to_dot(g: Graph) -> str:
-    """Undirected DOT document for visualization."""
-    deg = g.degrees()
-    out = ["graph G {"]
-    out.extend(f"  {v};" for v in range(g.n) if deg[v] == 0)
-    out.extend(f"  {u} -- {v};" for u, v in g.edges)
-    out.append("}")
     return "\n".join(out) + "\n"

@@ -8,7 +8,8 @@ Three constructions on trees:
   cannot take and a second labelling pass.  Both passes call one vertex
   step: closed form at c = 2, the paper's two-forest split, so that split
   is O(n) per pair, and ``vertex_feasible`` for every other c.
-  ``wr2_tree`` and ``wrc_tree`` run it on each covering parameter tuple;
+  ``wrc_tree`` runs it on each covering parameter tuple of a tree with
+  three or more distinct degrees, and ``wr2_tree`` is ``wrc_tree`` at c = 2;
 * a binary-expansion labeling producing O(log max_degree) weakly
   semiregular forests, and the optimal semiregular decomposition into
   exactly ceil(max_degree / 2) parts.
@@ -257,46 +258,35 @@ def _split(rt: RootedTree, alphas: tuple[int, ...]) -> Optional[EdgePartition]:
 
 
 def wr2_tree(t: Graph) -> Optional[EdgePartition]:
-    """Decide whether a tree splits into two weakly semiregular forests.
-
-    Returns a witness partition (2 parts, possibly one empty) or None.
-    Trees with at most two distinct degrees are weakly semiregular as they
-    stand; otherwise this is ``wrc_tree`` at c = 2.
-    """
-    deg = t.degrees()
-    if len(set(deg)) <= 2:  # n = 0 too: it fails the tree test
-        _peel(t, deg)
-        return EdgePartition(2, (0,) * t.m)
-    return _first_split(t, deg, 2)
+    """Decide whether a tree splits into two weakly semiregular forests:
+    ``wrc_tree`` at c = 2.  Returns a witness partition (2 parts, possibly
+    one empty) or None."""
+    return wrc_tree(t, 2)
 
 
 def wrc_tree(t: Graph, c: int) -> Optional[EdgePartition]:
     """Decide whether a tree splits into at most c weakly semiregular forests.
 
-    Tries the nondecreasing c-tuples of forest parameters up to the maximum
-    degree whose degree options cover the degree set, in order, and returns
-    the first witness.
+    A tree with at most two distinct degrees is weakly semiregular as it
+    stands, so every edge goes to part 0.  Otherwise this tries the
+    nondecreasing c-tuples of forest parameters up to the maximum degree
+    whose degree options cover the degree set, in order, and returns the
+    first witness.  The peeling pass is the tree test; its result becomes a
+    ``RootedTree`` only once some tuple covers the degree set.
     """
     if c < 1:
         raise ValueError("need c >= 1")
-    if t.m == 0:
-        _peel(t, t.degrees())  # the tree test: only n = 1 passes
-        return EdgePartition(c, ())
-    return _first_split(t, t.degrees(), c)
-
-
-def _first_split(t: Graph, deg: list[int], c: int) -> Optional[EdgePartition]:
-    """The first split over the covering c-tuples, in order, or None, given
-    the tree's degree list.  The peeling pass is the tree test; its result
-    becomes a ``RootedTree`` only once some tuple covers the degree set."""
-    ds = tuple(sorted(set(deg)))
+    deg = t.degrees()
+    ds = set(deg)
     order, parent = _peel(t, deg)
-    tuples = _covering_tuples(ds, ds[-1], c)
+    if len(ds) <= 2:  # n = 1 too; n = 0 fails the tree test
+        return EdgePartition(c, (0,) * t.m)
+    tuples = _covering_tuples(ds, max(ds), c)
     first = next(tuples, None)
     if first is None:
         return None
     rt = _rooted(t, order, parent)
-    del order, parent  # the tree keeps a tuple of the order: drop the lists before the search
+    del deg, order, parent  # the tree keeps a tuple of the order: drop the lists before the search
     for alphas in itertools.chain((first,), tuples):
         if (result := partition_forests(rt, alphas)) is not None:
             return result

@@ -8,7 +8,6 @@ from semireg import (
     Graph,
     ParseError,
     bfs_root,
-    build_named,
     classify,
     complement,
     complete,
@@ -24,7 +23,6 @@ from semireg import (
     path,
     serialize_graph,
     star,
-    to_dot,
 )
 from semireg.graph import Classification, incident_edges, neighbor_masks
 from semireg.representation import parse_representation
@@ -32,15 +30,15 @@ from helpers import brute_isomorphic, random_simple_graph, random_tree, referenc
 
 
 def test_named_constructions():
-    c4 = build_named("cycle", [4])
+    c4 = cycle(4)
     assert c4.n == 4 and c4.m == 4
     assert set(c4.degrees()) == {2}
 
-    k99 = build_named("complete_bipartite", [9, 9])
+    k99 = complete_bipartite(9, 9)
     assert k99.n == 18 and k99.m == 81
     assert set(k99.degrees()) == {9}
 
-    k16 = build_named("star", [6])
+    k16 = star(6)
     assert degree_set(k16) == (1, 6)
 
     assert complete(3).m == 3
@@ -49,13 +47,7 @@ def test_named_constructions():
 
 def test_named_construction_errors():
     with pytest.raises(ValueError):
-        build_named("cycle", [2])
-    with pytest.raises(ValueError):
-        build_named("complete_bipartite", [3])
-    with pytest.raises(ValueError):
-        build_named("line", [3])
-    with pytest.raises(ValueError):
-        build_named("disjoint_union", [1, 2])
+        cycle(2)
 
 
 def test_graph_invariants():
@@ -370,12 +362,3 @@ def test_graph_constructor_normalizes_edges():
         assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in g.edges)
     with pytest.raises(ValueError):
         Graph(3, ((0, 1, 2),))
-
-
-def test_dot_export():
-    g = Graph(3, ((0, 1),))
-    dot = to_dot(g)
-    assert dot.startswith("graph G {")
-    assert "0 -- 1;" in dot
-    assert "  2;" in dot  # isolated vertex still shown
-    assert dot.rstrip().endswith("}")

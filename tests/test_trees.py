@@ -90,6 +90,37 @@ def test_vertex_feasible_respects_forbidden_sets():
     assert vertex_feasible(3, None, [0, 0, 0b101], [{0, 1}] * 3) == [0, 2, 1]
 
 
+def _first_feasible_vector(free_slots, parent_color, forbidden, targets):
+    """The first per-colour count vector, in product order over the sorted
+    target sets, that some colouring of the free slots meets within the
+    bans, or None: every colouring enumerated, nothing read from the tree
+    module."""
+    c = len(targets)
+    met = set()
+    for colouring in itertools.product(range(c), repeat=free_slots):
+        if not any(forbidden[i] >> k & 1 for i, k in enumerate(colouring)):
+            met.add(tuple(colouring.count(k) + (parent_color == k) for k in range(c)))
+    return next((v for v in itertools.product(*map(sorted, targets)) if v in met), None)
+
+
+def test_vertex_feasible_matches_brute_force():
+    rng = random.Random(71)
+    for _ in range(3000):
+        c = rng.randint(1, 4)
+        slots = rng.randint(0, 5)
+        forbidden = [rng.getrandbits(c) & rng.getrandbits(c) for _ in range(slots)]
+        parent = rng.choice([None, *range(c)])
+        targets = [{0, 1, rng.randint(1, 6)} for _ in range(c)]
+        got = vertex_feasible(slots, parent, forbidden, targets)
+        first = _first_feasible_vector(slots, parent, forbidden, targets)
+        if first is None:
+            assert got is None
+        else:
+            assert got is not None and len(got) == slots
+            assert not any(forbidden[i] >> k & 1 for i, k in enumerate(got))
+            assert tuple(got.count(k) + (parent == k) for k in range(c)) == first
+
+
 def test_vertex_feasible_leaves_no_cyclic_garbage():
     # both calls reach the exact slot assignment: one succeeds, one fails
     assert cyclic_garbage(lambda: vertex_feasible(5, None, [0] * 5, [{0, 1, 1}, {0, 1, 4}])) == 0
@@ -494,14 +525,15 @@ def test_tree_deciders_compute_degrees_once(monkeypatch, t):
     witness = wr2_tree(t)
     assert len(calls) == 1
     assert len(built) == covered
-    if len(ds) > 2:
-        if not covered:
-            assert witness is None
-        calls.clear()
-        built.clear()
-        assert wrc_tree(t, 2) == witness
-        assert len(calls) == 1
-        assert len(built) == covered
+    if len(ds) <= 2:
+        assert witness == EdgePartition(2, (0,) * t.m)
+    elif not covered:
+        assert witness is None
+    calls.clear()
+    built.clear()
+    assert wrc_tree(t, 2) == witness
+    assert len(calls) == 1
+    assert len(built) == covered
 
 
 def test_wrc_tree_with_one_part():
@@ -517,6 +549,16 @@ def test_wrc_tree_two_parts_matches_wr2():
 
 def test_wrc_tree_three_parts_star():
     assert wrc_tree(star(3), 3) is not None
+
+
+def test_wrc_tree_puts_a_two_degree_tree_in_one_part_for_every_c():
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            if len(set(t.degrees())) <= 2:
+                for c in (1, 2, 3, 5000):
+                    assert wrc_tree(t, c) == EdgePartition(c, (0,) * t.m)
+    # decided with no tuple search, which takes seconds here
+    assert wrc_tree(star(24), 25) == EdgePartition(25, (0,) * 24)
 
 
 def test_covering_tuples_are_the_tuples_whose_sums_cover_the_degrees():
@@ -564,13 +606,15 @@ def _reference_wr2_tree(t):
 
 
 def _reference_wrc_tree(t, c):
-    """``wrc_tree`` over every c-tuple with no covering filter, verbatim."""
+    """``wrc_tree`` over every c-tuple with no covering filter, after the
+    two-degree shortcut of ``_reference_wr2_tree``."""
     if c < 1:
         raise ValueError("need c >= 1")
     rt = bfs_root(t, 0)
-    if t.m == 0:
-        return EdgePartition(c, ())
-    delta = max(degree_set(t))
+    ds = degree_set(t)
+    if len(ds) <= 2:
+        return EdgePartition(c, (0,) * t.m)
+    delta = max(ds)
     for alphas in itertools.combinations_with_replacement(range(1, delta + 1), c):
         result = partition_forests(rt, alphas)
         if result is not None:
