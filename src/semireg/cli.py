@@ -28,7 +28,7 @@ from typing import Callable
 from . import coloring, families, oracles, reductions, representation, trees
 from .errors import BudgetError, ParseError
 from .families import EdgePartition, Family
-from .graph import Graph, parse_graph, serialize_graph
+from .graph import Graph, degree_set, parse_graph, serialize_graph
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -37,26 +37,21 @@ EXIT_BUDGET = 3
 EXIT_UNVERIFIED = 4
 EXIT_INTERNAL = 5
 
-_FAMILIES = {f.value: f for f in Family}
-
-
 class RunReport:
     """What a subcommand hands to ``run``: the human headline (None: no
     line), a function making the text for ``--out`` (None: nothing to
     write; called only when ``--out`` is given), the report block and the
-    exit code."""
+    exit code.  A new report has none of the first three and exit code 0."""
 
     __slots__ = ("command", "input_digest", "fields", "headline", "out", "code")
 
-    def __init__(self, command: str, input_digest: str, fields: list[tuple[str, str]] | None = None,
-                 headline: str | None = None, out: Callable[[], str] | None = None,
-                 code: int = EXIT_OK):
+    def __init__(self, command: str, input_digest: str):
         self.command = command
         self.input_digest = input_digest
-        self.fields = [] if fields is None else fields
-        self.headline = headline
-        self.out = out
-        self.code = code
+        self.fields: list[tuple[str, str]] = []
+        self.headline: str | None = None
+        self.out: Callable[[], str] | None = None
+        self.code = EXIT_OK
 
     def add(self, key: str, value) -> None:
         self.fields.append((key, str(value)))
@@ -151,7 +146,7 @@ def _cmd_decompose(args) -> RunReport:
 def _cmd_oracle(args) -> RunReport:
     g, digest = _load_graph(args.graph)
     budget = oracles.OracleBudget(max_edges=args.max_edges, max_parts=args.max_parts)
-    fam = _FAMILIES[args.family]
+    fam = Family(args.family)
     result = oracles.oracle_min_parts(g, fam, budget)
     report = RunReport(f"oracle {args.family}", digest)
     if result is None:
@@ -172,7 +167,7 @@ def _cmd_oracle(args) -> RunReport:
 def _cmd_verify(args) -> RunReport:
     g, digest = _load_graph(args.graph)
     p = families.parse_partition(_read_text(args.partition))
-    ok = families.verify_partition(g, p, _FAMILIES[args.family])
+    ok = families.verify_partition(g, p, Family(args.family))
     report = RunReport(f"verify {args.family}", digest)
     report.add("parts", p.k)
     report.add("valid", "true" if ok else "false")
@@ -200,7 +195,7 @@ def _cmd_reduce(args) -> RunReport:
         ]
     report.add("vertices", built.n)
     report.add("edges", built.m)
-    report.add("degree-set", " ".join(str(d) for d in sorted(set(built.degrees()))))
+    report.add("degree-set", " ".join(map(str, degree_set(built))))
     for key, value in extra:
         report.add(key, value)
     report.headline = f"built instance with {built.n} vertices"
@@ -271,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "regular, and locally irregular subgraphs.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    family_tokens = sorted(_FAMILIES)
+    family_tokens = sorted(f.value for f in Family)
 
     p = sub.add_parser("decide", help="tree decision procedures")
     dsub = p.add_subparsers(dest="decision", required=True)

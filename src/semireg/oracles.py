@@ -252,9 +252,6 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     if n == 1:
         yield Graph(1, ())
         return
-    if n == 2:
-        yield Graph(2, ((0, 1),))
-        return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield decode_tree(n, seq)
 

@@ -67,17 +67,16 @@ def _covering_tuples(ds: Collection[int], delta: int, c: int) -> Iterator[tuple[
 
 
 def vertex_feasible(
-    free_slots: int,
     parent_color: Optional[int],
     forbidden: Sequence[int],
     targets: Sequence[Collection[int]],
 ) -> Optional[list[int]]:
     """Color the free downward edges at one vertex, or report impossibility.
 
-    For each color k the total count at the vertex -- free edges given k,
-    plus the parent edge if it carries k -- must land in ``targets[k]``.
-    Free edge i may not take color k if bit k of the mask ``forbidden[i]``
-    is set.  Returns one color per free slot, or None.
+    Each free edge has one mask in ``forbidden``: bit k set means it may
+    not take color k.  For each color k the total count at the vertex --
+    free edges given k, plus the parent edge if it carries k -- must land
+    in ``targets[k]``.  Returns one color per free edge, or None.
 
     The answer is deterministic: it meets the first target vector, in
     product order over the sorted target sets, that admits an assignment.
@@ -90,34 +89,23 @@ def vertex_feasible(
     degree-constrained-subgraph routine for these single-vertex instances.
     It is the forest split's vertex step for c != 2.
     """
-    c = len(targets)
-    if len(forbidden) != free_slots:
-        raise ValueError("one forbidden mask per free slot required")
-    options = [sorted(set(t)) for t in targets]
-    parent_add = [1 if parent_color == k else 0 for k in range(c)]
-    for vector in itertools.product(*options):
-        req = [vector[k] - parent_add[k] for k in range(c)]
-        if any(r < 0 for r in req) or sum(req) != free_slots:
+    slots = len(forbidden)
+    for vector in itertools.product(*[sorted(set(t)) for t in targets]):
+        capacity = list(vector)
+        if parent_color is not None:
+            capacity[parent_color] -= 1
+        if any(x < 0 for x in capacity) or sum(capacity) != slots:
             continue
-        assignment = _assign_exact(free_slots, forbidden, req)
-        if assignment is not None:
-            return assignment
+        color_of = [-1] * slots
+        holders: list[list[int]] = [[] for _ in capacity]
+        if all(_place(slot, set(), forbidden, capacity, holders, color_of) for slot in range(slots)):
+            return color_of
     return None
-
-
-def _assign_exact(slots: int, forbidden: Sequence[int], capacity: list[int]) -> Optional[list[int]]:
-    """Assign each slot one color, exactly ``capacity[k]`` slots per color."""
-    color_of = [-1] * slots
-    holders: list[list[int]] = [[] for _ in capacity]
-    for slot in range(slots):
-        if not _place(slot, set(), forbidden, capacity, holders, color_of):
-            return None
-    return color_of
 
 
 def _place(slot: int, visited: set[int], forbidden: Sequence[int], capacity: list[int],
            holders: list[list[int]], color_of: list[int]) -> bool:
-    """Give ``slot`` a color for ``_assign_exact``: free capacity on the
+    """Give ``slot`` a color for ``vertex_feasible``: free capacity on the
     smallest color, else reroute a holder of an unvisited color."""
     c = len(capacity)
     for k in range(c):
@@ -202,7 +190,7 @@ def _many_step(alphas: tuple[int, ...]) -> Callable[..., bool]:
     targets = [{0, 1, a} for a in alphas]
 
     def step(edges, banned, p, labels):
-        colors = vertex_feasible(len(edges), p, [banned[e] for e in edges], targets)
+        colors = vertex_feasible(p, [banned[e] for e in edges], targets)
         if colors is not None and labels is not None:
             for e, k in zip(edges, colors):
                 labels[e] = k

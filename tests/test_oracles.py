@@ -133,6 +133,8 @@ def test_wr_oracle_respects_counting_bound():
 
 
 def test_enumerate_trees():
+    assert list(enumerate_trees(1)) == [Graph(1, ())]
+    assert list(enumerate_trees(2)) == [Graph(2, ((0, 1),))]
     assert len(list(enumerate_trees(3))) == 3
     assert len(list(enumerate_trees(4))) == 16
     trees5 = list(enumerate_trees(5))

@@ -5,6 +5,7 @@ import random
 import sys
 
 from semireg import (
+    Family,
     Graph,
     bfs_root,
     four_regularize,
@@ -13,9 +14,11 @@ from semireg import (
     sr_general,
     sr_tree,
     two_factorize,
+    verify_partition,
     widen_degree_set,
     wr2_deg4,
     wr2_tree,
+    wrc_tree,
 )
 from helpers import random_path_deg4_graph, walk_counting
 
@@ -97,3 +100,18 @@ def test_constructions_do_not_recurse_with_input_size():
         sys.setrecursionlimit(limit)
     # the caterpillar's first labelling failed, so the ban pass ran too
     assert counted.order.walks == 3
+
+
+def test_vertex_step_does_not_recurse_with_c():
+    # star(3) with one subdivided edge: degrees {1, 2, 3}, so the split
+    # runs and the vertex step sees 5000 target sets at the centre
+    t = Graph(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 100)
+    try:
+        p = wrc_tree(t, 5000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p is not None and verify_partition(t, p, Family.WEAKLY_SEMIREGULAR)
+    assert p.k == 5000 and sum(1 for size in p.part_sizes() if size) == 3
+    assert p.part == (4997, 4998, 4999, 4999)

@@ -64,30 +64,30 @@ def test_candidate_pairs_cover_necessary_condition():
 
 def test_vertex_feasible_examples():
     # five free edges, no parent: 1 + 4 split
-    got = vertex_feasible(5, None, [0] * 5, [{0, 1, 1}, {0, 1, 4}])
+    got = vertex_feasible(None, [0] * 5, [{0, 1, 1}, {0, 1, 4}])
     assert got == [0, 1, 1, 1, 1]
 
     # two free edges with one color whose counts allow only 0, 1, or 3
-    assert vertex_feasible(2, None, [0] * 2, [{0, 1, 3}]) is None
+    assert vertex_feasible(None, [0] * 2, [{0, 1, 3}]) is None
 
     # no free edges, parent carries color 0
-    assert vertex_feasible(0, 0, [], [{0, 1, 4}]) == []
+    assert vertex_feasible(0, [], [{0, 1, 4}]) == []
 
     # no colors at all: the one empty target vector colors nothing
-    assert vertex_feasible(0, None, [], []) == []
+    assert vertex_feasible(None, [], []) == []
 
 
 def test_vertex_feasible_respects_forbidden_sets():
     # bit k of a slot's mask bans color k
-    got = vertex_feasible(2, None, [0b1, 0], [{0, 1}, {0, 1}])
+    got = vertex_feasible(None, [0b1, 0], [{0, 1}, {0, 1}])
     assert got == [1, 0]
-    assert vertex_feasible(2, None, [0b1, 0b1], [{0, 2}, {0, 1}]) is None
+    assert vertex_feasible(None, [0b1, 0b1], [{0, 2}, {0, 1}]) is None
     # the last slot takes only color 0, held by then: the reroute moves
     # slot 0 up to color 2, so the answer is not [1, 2, 0], the
     # lexicographically smallest
-    assert vertex_feasible(3, None, [0, 0, 0b110], [{0, 1}] * 3) == [2, 1, 0]
+    assert vertex_feasible(None, [0, 0, 0b110], [{0, 1}] * 3) == [2, 1, 0]
     # the reroute passes over color 0, which the last slot may not take
-    assert vertex_feasible(3, None, [0, 0, 0b101], [{0, 1}] * 3) == [0, 2, 1]
+    assert vertex_feasible(None, [0, 0, 0b101], [{0, 1}] * 3) == [0, 2, 1]
 
 
 def _first_feasible_vector(free_slots, parent_color, forbidden, targets):
@@ -111,7 +111,7 @@ def test_vertex_feasible_matches_brute_force():
         forbidden = [rng.getrandbits(c) & rng.getrandbits(c) for _ in range(slots)]
         parent = rng.choice([None, *range(c)])
         targets = [{0, 1, rng.randint(1, 6)} for _ in range(c)]
-        got = vertex_feasible(slots, parent, forbidden, targets)
+        got = vertex_feasible(parent, forbidden, targets)
         first = _first_feasible_vector(slots, parent, forbidden, targets)
         if first is None:
             assert got is None
@@ -123,8 +123,8 @@ def test_vertex_feasible_matches_brute_force():
 
 def test_vertex_feasible_leaves_no_cyclic_garbage():
     # both calls reach the exact slot assignment: one succeeds, one fails
-    assert cyclic_garbage(lambda: vertex_feasible(5, None, [0] * 5, [{0, 1, 1}, {0, 1, 4}])) == 0
-    assert cyclic_garbage(lambda: vertex_feasible(2, None, [0b1, 0b1], [{0, 2}, {0, 1}])) == 0
+    assert cyclic_garbage(lambda: vertex_feasible(None, [0] * 5, [{0, 1, 1}, {0, 1, 4}])) == 0
+    assert cyclic_garbage(lambda: vertex_feasible(None, [0b1, 0b1], [{0, 2}, {0, 1}])) == 0
 
 
 def test_partition_two_forests_star():
@@ -187,7 +187,7 @@ def _reference_two_forests(rt, alpha, beta):
                 else:
                     free.append(e)
             shifted = [{t - f for t in ts if t >= f} for ts, f in zip(targets, forced_counts)]
-            colors = vertex_feasible(len(free), parent_color, [0] * len(free), shifted)
+            colors = vertex_feasible(parent_color, [0] * len(free), shifted)
             if colors is None:
                 if pe is None or forced[pe] != -1:
                     return None
@@ -282,8 +282,7 @@ def _reference_forests(t, alphas):
             parent_color = labels[pe] if pe is not None else None
             edges = down[v]
             colors = vertex_feasible(
-                len(edges), parent_color,
-                [sum(1 << k for k in forbid[e]) for e in edges], targets,
+                parent_color, [sum(1 << k for k in forbid[e]) for e in edges], targets,
             )
             if colors is None:
                 if pe is None:
