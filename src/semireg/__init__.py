@@ -3,7 +3,6 @@ and locally irregular subgraphs, with exact oracles, hardness-instance
 constructions, and representation-number tools."""
 
 from .coloring import (
-    ProperEdgeColoring,
     TwoFactorization,
     four_regularize,
     sr_general,

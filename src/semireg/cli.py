@@ -267,6 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
     family_tokens = sorted(f.value for f in Family)
+    budget = oracles.OracleBudget()
 
     p = sub.add_parser("decide", help="tree decision procedures")
     dsub = p.add_subparsers(dest="decision", required=True)
@@ -289,8 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact minimum part count by exhaustive search")
     p.add_argument("graph")
     p.add_argument("--family", choices=family_tokens, required=True)
-    p.add_argument("--max-parts", type=int, default=4)
-    p.add_argument("--max-edges", type=int, default=16)
+    p.add_argument("--max-parts", type=int, default=budget.max_parts)
+    p.add_argument("--max-edges", type=int, default=budget.max_edges)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_oracle)
 

@@ -26,10 +26,6 @@ from .families import EdgePartition
 from .graph import Graph, Record, incident_edges
 
 
-class ProperEdgeColoring(Record):
-    __slots__ = ("colors", "num_colors")
-
-
 class TwoFactorization(Record):
     """Edge-id sets, each inducing degree exactly 2 at every vertex."""
 
@@ -67,9 +63,10 @@ def _flip(edges, ecol: list[int], at: list[dict[int, int]], start: int, first: i
     _recolor(edges, ecol, at, path, [second if ecol[e] == first else first for e in path])
 
 
-def vizing(g: Graph) -> ProperEdgeColoring:
+def vizing(g: Graph) -> tuple[int, ...]:
     """Proper edge coloring of a simple graph with at most max_degree + 1
-    colors, by fan rotation and alternating-path flips (Misra-Gries).
+    colors, by fan rotation and alternating-path flips (Misra-Gries): one
+    color per edge id, ``()`` when there are no edges.
 
     Edges are colored in id order.  The maximal fan at u of the uncolored
     edge (u, v0) grows from v0 by the first edge of u, in neighbor order,
@@ -94,7 +91,7 @@ def vizing(g: Graph) -> ProperEdgeColoring:
         raise ValueError("fan-rotation coloring requires a simple graph")
     delta = max(g.degrees(), default=0)
     if g.m == 0:
-        return ProperEdgeColoring((), 0)
+        return ()
     palette = range(delta + 1)
     edges = g.edges
     ecol = [-1] * g.m
@@ -128,7 +125,7 @@ def vizing(g: Graph) -> ProperEdgeColoring:
         assert j is not None, "fan rotation target must exist"
         _recolor(edges, ecol, at, fan_e[: j + 1], [ecol[e] for e in fan_e[1 : j + 1]] + [d])
 
-    return ProperEdgeColoring(tuple(ecol), max(len(set(ecol)), max(ecol) + 1))
+    return tuple(ecol)
 
 
 def _euler_circuits(edges, incident: list[list[int]], starts: Iterable[int]) -> tuple[list[list[int]], list[int]]:

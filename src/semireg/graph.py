@@ -14,8 +14,6 @@ from typing import Callable, Optional, Sequence
 
 from .errors import ParseError
 
-DegreeSet = tuple[int, ...]
-
 
 class Record:
     """Base of the immutable records: equality and hash on the type and the
@@ -191,7 +189,7 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 # basic operations
 # ---------------------------------------------------------------------------
 
-def degree_set(g: Graph) -> DegreeSet:
+def degree_set(g: Graph) -> tuple[int, ...]:
     """Sorted distinct vertex degrees."""
     if g.n == 0:
         raise ValueError("degree set of the empty graph is undefined")

@@ -129,18 +129,6 @@ def widen_degree_set(g: Graph) -> Graph:
     return disjoint_union(pieces)
 
 
-def _label_sums(g: Graph, labels: Sequence[int]) -> list[int]:
-    if len(labels) != g.m:
-        raise ValueError("one label per edge required")
-    if any(lab not in (1, 2) for lab in labels):
-        raise ValueError("labels must be 1 or 2")
-    sums = [0] * g.n
-    for e, (u, v) in enumerate(g.edges):
-        sums[u] += labels[e]
-        sums[v] += labels[e]
-    return sums
-
-
 def is_additive_coloring(g: Graph, labels: Sequence[int]) -> bool:
     """Do the incident {1,2} label sums differ across every edge?
 
@@ -149,7 +137,14 @@ def is_additive_coloring(g: Graph, labels: Sequence[int]) -> bool:
     """
     if set(g.degrees()) != {3}:
         raise ValueError("input must be 3-regular")
-    sums = _label_sums(g, labels)
+    if len(labels) != g.m:
+        raise ValueError("one label per edge required")
+    if any(lab not in (1, 2) for lab in labels):
+        raise ValueError("labels must be 1 or 2")
+    sums = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        sums[u] += labels[e]
+        sums[v] += labels[e]
     return all(sums[u] != sums[v] for u, v in g.edges)
 
 
@@ -165,7 +160,7 @@ def partition_from_labels(g: Graph, labels: Sequence[int]) -> EdgePartition:
 # ---------------------------------------------------------------------------
 
 class Gadget(Record):
-    __slots__ = ("name", "graph", "ports")
+    __slots__ = ("graph", "ports")
 
 
 class GadgetSet(Record):
@@ -205,11 +200,6 @@ def _variant_rules(variant: str) -> _VariantRules:
     return _RULES[variant]
 
 
-def variant_gadget_names(variant: str) -> tuple[str, ...]:
-    rules = _variant_rules(variant)
-    return rules.base_gadgets + (rules.clause3[0], rules.clause2[0])
-
-
 def parse_gadget(name: str, text: str) -> Gadget:
     """The edge-list format, then one "port <name> <vertex-id>" line per
     port; blank lines may follow the edge block."""
@@ -230,18 +220,24 @@ def parse_gadget(name: str, text: str) -> Gadget:
         if fields[1] in ports:
             raise ParseError(f"line {lineno}: port {fields[1]!r} given twice")
         ports[fields[1]] = vid
+    # a vertex on no edge and no port keeps degree 0 in every instance,
+    # which no variant allows; checked before classify, whose cost is per vertex
+    if graph.n > 2 * graph.m + len(ports):
+        raise GadgetError(f"gadget {name!r}: {graph.n} vertices, more than 2 * {graph.m} edges "
+                          f"+ {len(ports)} ports, so one keeps degree 0")
     if not classify(graph).is_bipartite:
         raise GadgetError(f"gadget {name!r} is not bipartite")
     for pname, vid in ports.items():
         if not 0 <= vid < graph.n:
             raise GadgetError(f"gadget {name!r}: port {pname!r} vertex {vid} out of range")
-    return Gadget(name, graph, ports)
+    return Gadget(graph, ports)
 
 
 def load_gadget_set(directory: str, variant: str) -> GadgetSet:
     """Load the variant's gadgets from ``<name>.gadget`` files."""
+    rules = _variant_rules(variant)
     gadgets = {}
-    for name in variant_gadget_names(variant):
+    for name in rules.base_gadgets + (rules.clause3[0], rules.clause2[0]):
         filepath = os.path.join(directory, f"{name}.gadget")
         try:
             with open(filepath, encoding="utf-8") as fh:

@@ -23,10 +23,10 @@ class Representation(Record):
 
 
 class PrimePlan(Record):
-    """Build record: matchings of the complement, one prime per matching,
-    and the per-vertex residue vector."""
+    """Build record: matchings of the complement and one prime per
+    matching."""
 
-    __slots__ = ("matchings", "primes", "coordinates")
+    __slots__ = ("matchings", "primes")
 
 
 def verify_representation(g: Graph, rep: Representation) -> bool:
@@ -149,7 +149,7 @@ def rep_construct(g: Graph) -> tuple[Representation, PrimePlan]:
     n = g.n
 
     classes: dict[int, list[int]] = {}
-    for e, c in enumerate(vizing(h).colors):
+    for e, c in enumerate(vizing(h)):
         classes.setdefault(c, []).append(e)
     matchings = [tuple(classes[c]) for c in sorted(classes)]
     if len(matchings) < 2:
@@ -179,20 +179,13 @@ def rep_construct(g: Graph) -> tuple[Representation, PrimePlan]:
 
     r = math.prod(primes)
     labels = tuple(_crt(coords[v], primes) for v in range(n))
-    plan = PrimePlan(
-        matchings=tuple(matchings),
-        primes=tuple(primes),
-        coordinates=tuple(tuple(c) for c in coords),
-    )
-    return Representation(r, labels), plan
+    return Representation(r, labels), PrimePlan(tuple(matchings), tuple(primes))
 
 
-def serialize_representation(rep: Representation, plan: Optional[PrimePlan] = None) -> str:
-    out = [f"r {rep.r}"]
-    if plan is not None:
-        out.append("primes " + " ".join(str(p) for p in plan.primes))
-    out.append("labels " + " ".join(str(lab) for lab in rep.labels))
-    return "\n".join(out) + "\n"
+def serialize_representation(rep: Representation, plan: PrimePlan) -> str:
+    lines = [f"r {rep.r}", "primes " + " ".join(str(p) for p in plan.primes),
+             "labels " + " ".join(str(lab) for lab in rep.labels)]
+    return "\n".join(lines) + "\n"
 
 
 def parse_representation(text: str) -> Representation:

@@ -25,20 +25,21 @@ import itertools
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .families import EdgePartition
-from .graph import DegreeSet, Graph, RootedTree
+from .graph import Graph, RootedTree
 
 
-def candidate_pairs(degrees: Sequence[int] | DegreeSet, max_degree: int) -> list[tuple[int, int]]:
-    """All pairs (alpha, beta), alpha <= beta <= max_degree, whose combined
-    per-vertex degree options cover the tree's degree set: the c = 2
-    listing of ``_covering_tuples``.
+def candidate_pairs(degrees: Sequence[int]) -> list[tuple[int, int]]:
+    """All pairs (alpha, beta), alpha <= beta <= max(degrees), whose
+    combined per-vertex degree options cover the tree's degree set: the
+    c = 2 listing of ``_covering_tuples``.
 
     A vertex incident to both forests sees a degree in
     {1, 2, alpha, alpha+1, beta, beta+1, alpha+beta}; a degree set not
     contained in that union rules the pair out.  Eight or more distinct
     degrees rule out every pair.
     """
-    return list(_covering_tuples(set(degrees), max_degree, 2))
+    ds = set(degrees)
+    return list(_covering_tuples(ds, max(ds, default=0), 2))
 
 
 def _covering_tuples(ds: Collection[int], delta: int, c: int) -> Iterator[tuple[int, ...]]:

@@ -130,8 +130,8 @@ def test_criterion_5_general_semiregular_bound():
         g = random_simple_graph(n, rng.randrange(1, n * (n - 1) // 2 + 1), rng)
         delta = max(g.degrees())
         coloring = vizing(g)
-        assert is_proper_coloring(g, coloring.colors), "criterion 5 FAIL: improper coloring"
-        assert len(set(coloring.colors)) <= delta + 1, "criterion 5 FAIL: too many colors"
+        assert is_proper_coloring(g, coloring), "criterion 5 FAIL: improper coloring"
+        assert len(set(coloring)) <= delta + 1, "criterion 5 FAIL: too many colors"
         p = sr_general(g)
         assert p.k <= (delta + 2) // 2, (
             f"criterion 5 FAIL: {p.k} parts exceed ceil((D+1)/2) with D={delta}"

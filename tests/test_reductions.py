@@ -13,7 +13,9 @@ from semireg import (
     BudgetError,
     EdgePartition,
     Family,
+    Gadget,
     GadgetError,
+    GadgetSet,
     Graph,
     NaeFormula,
     ParseError,
@@ -241,15 +243,36 @@ def test_build_reduction_rejects_bad_port_degrees(tmp_path):
     assert "degrees" in str(err.value)
 
 
-def test_build_reduction_checks_degrees_before_classifying_the_instance(tmp_path, monkeypatch):
-    # the bundled H with header "1000000 3": its isolated vertices put
-    # degree 0 into the instance, which the cheap degree check rejects
+def _bundled_thm2(name):
+    with open(os.path.join(GADGETS_DIR, "thm2", f"{name}.gadget"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_oversized_gadget_header_is_refused_before_classify(tmp_path, monkeypatch, capsys):
+    # the bundled H with header "1000000 3": at most 2 * 3 + 2 of its
+    # vertices lie on an edge or a port, and the others keep degree 0
+    text = "\n".join(["1000000 3", *_bundled_thm2("H").splitlines()[1:]]) + "\n"
+    classified = []
+    monkeypatch.setattr(semireg.reductions, "classify", lambda g: classified.append(g.n) or classify(g))
+    with pytest.raises(GadgetError, match=r"^gadget 'H': 1000000 vertices, more than 2 \* 3 edges \+ 2 ports"):
+        parse_gadget("H", text)
+    assert classified == []
     for name in ("B", "I"):
         shutil.copy(os.path.join(GADGETS_DIR, "thm2", f"{name}.gadget"), tmp_path)
-    with open(os.path.join(GADGETS_DIR, "thm2", "H.gadget"), encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    (tmp_path / "H.gadget").write_text("\n".join(["1000000 3", *lines[1:]]) + "\n")
-    gadgets = load_gadget_set(str(tmp_path), "thm2")  # classifies each gadget
+    (tmp_path / "H.gadget").write_text(text)
+    (tmp_path / "f.nae").write_text("0 1 2\n0 1 2\n0 1 2\n")
+    assert run(["reduce", str(tmp_path / "f.nae"), "--variant", "thm2", "--gadgets", str(tmp_path)]) == 2
+    assert "input error: gadget 'H'" in capsys.readouterr().err
+    assert 1000000 not in classified
+
+
+def test_build_reduction_checks_degrees_before_classifying_the_instance(monkeypatch):
+    # the bundled H on 1000000 vertices: its isolated vertices put
+    # degree 0 into the instance, which the cheap degree check rejects
+    parsed = {name: parse_gadget(name, _bundled_thm2(name)) for name in ("B", "H", "I")}
+    h = parsed["H"]
+    parsed["H"] = Gadget(Graph(1_000_000, h.graph.edges), h.ports)
+    gadgets = GadgetSet(parsed)
     classified = []
     monkeypatch.setattr(semireg.reductions, "classify", lambda g: classified.append(g.n) or classify(g))
     with pytest.raises(GadgetError, match=r"degrees \[0\]"):

@@ -45,17 +45,18 @@ from helpers import (
 
 
 def test_candidate_pairs():
-    pairs = candidate_pairs((1, 3), 3)
+    pairs = candidate_pairs((1, 3))
     assert (1, 2) in pairs
     assert pairs == sorted(pairs)
-    assert candidate_pairs(tuple(range(1, 9)), 8) == []
-    assert (1, 1) in candidate_pairs((1,), 1)
+    assert candidate_pairs(tuple(range(1, 9))) == []
+    assert (1, 1) in candidate_pairs((1,))
+    assert candidate_pairs(()) == []
 
 
 def test_candidate_pairs_cover_necessary_condition():
     # any pair kept must cover the degree set, any pair dropped must not
     ds = (1, 2, 5)
-    kept = set(candidate_pairs(ds, 5))
+    kept = set(candidate_pairs(ds))
     for alpha in range(1, 6):
         for beta in range(alpha, 6):
             covered = set(ds) <= {1, 2, alpha, alpha + 1, beta, beta + 1, alpha + beta}
@@ -216,7 +217,7 @@ def test_two_forest_witnesses_match_general_vertex_step():
     for t in _witness_pinning_trees():
         rt = bfs_root(t, 0)
         ds = degree_set(t)
-        for alpha, beta in candidate_pairs(ds, max(ds)):
+        for alpha, beta in candidate_pairs(ds):
             got = partition_two_forests(rt, alpha, beta)
             assert (None if got is None else got.part) == _reference_two_forests(rt, alpha, beta)
 
@@ -518,7 +519,7 @@ def test_tree_deciders_compute_degrees_once(monkeypatch, t):
         return rooted(g, order, parent)
 
     ds = degree_set(t)
-    covered = len(ds) > 2 and bool(candidate_pairs(ds, max(ds)))  # the decider then roots the tree once
+    covered = len(ds) > 2 and bool(candidate_pairs(ds))  # the decider then roots the tree once
     monkeypatch.setattr(Graph, "degrees", counted)
     monkeypatch.setattr(trees, "_rooted", counted_rooted)
     witness = wr2_tree(t)
