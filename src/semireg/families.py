@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 from .errors import ParseError
-from .graph import Graph, Record, number_reader, parse_header
+from .graph import Graph, Record, number_reader, parse_header, text_lines
 
 
 class Family(enum.Enum):
@@ -122,16 +122,18 @@ def wr_lower_bound(g: Graph, coarse: bool = False) -> int:
 
 def parse_partition(text: str) -> EdgePartition:
     """Parse the partition format: header "k m", then m lines "edge_id part_id",
-    then nothing but blank lines."""
-    lines = text.splitlines()
+    then nothing but blank lines.  A text of fewer than m + 1 lines ends
+    early, which is reported ahead of any bad line."""
+    lines = text_lines(text)
     k, m = parse_header(lines, "k m")
-    if m > len(lines) - 1:
-        raise ParseError(f"line {len(lines) + 1}: expected {m} assignments, input ended early")
+    # every "\n" ends a line, so only a text with too few of them is counted
+    # in full; checked before the m slots are allocated
+    if m >= text.count("\n") + (not text.endswith("\n")) and m >= (count := len(text.splitlines())):
+        raise ParseError(f"line {count + 1}: expected {m} assignments, input ended early")
     part: list[int | None] = [None] * m
     num = number_reader(text)
-    for i in range(m):
-        lineno = i + 2
-        fields = lines[lineno - 1].split()
+    for lineno, line in enumerate(islice(lines, m), 2):
+        fields = line.split()
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: assignment line must be 'edge_id part_id'")
         try:
@@ -145,9 +147,9 @@ def parse_partition(text: str) -> EdgePartition:
         if part[e] is not None:
             raise ParseError(f"line {lineno}: edge {e} assigned twice")
         part[e] = q
-    if any(map(str.strip, lines[m + 1:])):
+    if any(map(str.strip, lines)):
         raise ParseError(f"line {m + 2}: trailing content after {m} assignments")
-    return EdgePartition(k, tuple(part))  # type: ignore[arg-type]
+    return EdgePartition(k, part)  # type: ignore[arg-type]
 
 
 def serialize_partition(p: EdgePartition) -> str:

@@ -9,8 +9,8 @@ are not.
 from __future__ import annotations
 
 import re
-from itertools import chain
-from typing import Callable, Optional, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ParseError
 
@@ -319,12 +319,13 @@ def number_reader(text: str) -> Callable[[str], int]:
     return int if plain else parse_int
 
 
-def parse_header(lines: list[str], shape: str) -> tuple[int, int]:
+def parse_header(lines: Iterable[str], shape: str) -> tuple[int, int]:
     """The two nonnegative counts on line 1 of a text format whose header
-    is ``shape``, such as "n m"."""
-    if not lines:
+    is ``shape``, such as "n m"; from an iterator, line 1 is consumed."""
+    line = next(iter(lines), None)
+    if line is None:
         raise ParseError("line 1: missing header")
-    head = lines[0].split()
+    head = line.split()
     if len(head) != 2:
         raise ParseError(f"line 1: header must be '{shape}'")
     try:
@@ -336,22 +337,46 @@ def parse_header(lines: list[str], shape: str) -> tuple[int, int]:
     return a, b
 
 
+_PIECE = 1 << 13  # characters that text_lines splits at once, up to the next "\n"
+
+
+def text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split off one piece of ``text`` at
+    a time, so a reader holds one piece of lines rather than all of them.
+
+    Each piece ends just after a "\n" (or at the end of ``text``), which is
+    a line boundary for every separator ``splitlines`` knows and keeps
+    "\r\n" whole."""
+    return chain.from_iterable(map(str.splitlines, _pieces(text)))
+
+
+def _pieces(text: str) -> Iterator[str]:
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _PIECE - 1)
+        end = len(text) if cut < 0 else cut + 1
+        yield text[start:end]
+        start = end
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: a header line "n m", then m lines "u v".
 
-    One loop reads the edge lines and ``Graph`` checks the endpoints; when
-    either fails, ``_edge_line_error`` names the first bad line.
+    One comprehension reads the edge lines and ``Graph`` checks the
+    endpoints; when either fails or the lines run out, ``_edge_line_error``
+    names the first bad line.
     """
-    lines = text.splitlines()
+    lines = text_lines(text)
     n, m = parse_header(lines, "n m")
-    if len(lines) <= m:
-        raise _edge_line_error(lines, n, m)
     num = number_reader(text)
     try:
-        g = Graph(n, tuple([(num(u), num(v)) for u, v in map(str.split, lines[1:m + 1])]))
+        edges = [(num(u), num(v)) for u, v in map(str.split, islice(lines, m))]
+        g = Graph(n, tuple(edges))
     except ValueError:
-        raise _edge_line_error(lines, n, m) from None
-    if any(map(str.strip, lines[m + 1:])):
+        g = None
+    if g is None or g.m < m:
+        raise _edge_line_error(text.splitlines(), n, m)
+    if any(map(str.strip, lines)):
         raise ParseError(f"line {m + 2}: trailing content after {m} edges")
     return g
 

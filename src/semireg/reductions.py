@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .errors import BudgetError, GadgetError, ParseError
 from .families import EdgePartition
 from .graph import (Graph, Record, classify, complete_bipartite, cycle, disjoint_union, incident_edges,
-                    parse_graph, parse_header, parse_int, path, star)
+                    parse_graph, parse_header, parse_int, path, star, text_lines)
 
 
 class NaeFormula(Record):
@@ -46,7 +46,7 @@ def parse_nae(text: str) -> NaeFormula:
     """One clause per line, space-separated variable ids."""
     clauses = []
     top = -1
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(text_lines(text)):
         if not line.strip():
             continue
         lineno = i + 1
@@ -250,8 +250,10 @@ def load_gadget_set(directory: str, variant: str) -> GadgetSet:
             raise GadgetError(f"cannot read gadget {name!r} from {filepath}: {exc}") from None
         try:
             gadgets[name] = parse_gadget(name, text)
-        except ParseError as exc:
-            raise ParseError(f"gadget {name!r} ({filepath}): {exc}") from None
+        except (ParseError, GadgetError) as exc:
+            # a GadgetError names the gadget first: its name is not repeated
+            detail = str(exc).removeprefix(f"gadget {name!r}").lstrip(": ")
+            raise type(exc)(f"gadget {name!r} ({filepath}): {detail}") from None
     return GadgetSet(gadgets)
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .coloring import vizing
 from .errors import BudgetError, ParseError
-from .graph import Graph, Record, complement, neighbor_masks, parse_int
+from .graph import Graph, Record, complement, neighbor_masks, parse_int, text_lines
 
 
 class Representation(Record):
@@ -192,7 +192,7 @@ def parse_representation(text: str) -> Representation:
     """An "r" line, an optional "primes" line and a "labels" line, each at
     most once, in any order; blank lines are skipped."""
     seen: dict[str, tuple[int, ...]] = {}
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(text_lines(text)):
         fields = line.split()
         if not fields:
             continue

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semireg import (
+    EdgePartition,
     Graph,
     ParseError,
     bfs_root,
@@ -24,7 +26,8 @@ from semireg import (
     serialize_graph,
     star,
 )
-from semireg.graph import Classification, incident_edges, neighbor_masks
+import semireg.graph as semireg_graph
+from semireg.graph import Classification, incident_edges, neighbor_masks, number_reader, parse_int, text_lines
 from semireg.representation import parse_representation
 from helpers import brute_isomorphic, random_simple_graph, random_tree, reference_bfs_root, seeded_simple_graphs
 
@@ -362,3 +365,164 @@ def test_graph_constructor_normalizes_edges():
         assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in g.edges)
     with pytest.raises(ValueError):
         Graph(3, ((0, 1, 2),))
+
+
+# ---------------------------------------------------------------------------
+# one line source: text_lines and the readers built on it
+# ---------------------------------------------------------------------------
+
+# The readers as they were when they split the whole text at once, kept
+# verbatim (``parse_header`` took the line list) as the reference that the
+# piecewise readers must match on every value and every message.
+def _ref_parse_header(lines, shape):
+    if not lines:
+        raise ParseError("line 1: missing header")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError(f"line 1: header must be '{shape}'")
+    try:
+        a, b = parse_int(head[0]), parse_int(head[1])
+    except ValueError:
+        raise ParseError("line 1: header must be two integers") from None
+    if a < 0 or b < 0:
+        raise ParseError("line 1: negative counts in header")
+    return a, b
+
+
+def _ref_parse_graph(text):
+    lines = text.splitlines()
+    n, m = _ref_parse_header(lines, "n m")
+    if len(lines) <= m:
+        raise _ref_edge_line_error(lines, n, m)
+    num = number_reader(text)
+    try:
+        g = Graph(n, tuple([(num(u), num(v)) for u, v in map(str.split, lines[1:m + 1])]))
+    except ValueError:
+        raise _ref_edge_line_error(lines, n, m) from None
+    if any(map(str.strip, lines[m + 1:])):
+        raise ParseError(f"line {m + 2}: trailing content after {m} edges")
+    return g
+
+
+def _ref_edge_line_error(lines, n, m):
+    for lineno, line in enumerate(lines[1:m + 1], 2):
+        parts = line.split()
+        if len(parts) != 2:
+            return ParseError(f"line {lineno}: edge line must be 'u v'")
+        try:
+            u, v = parse_int(parts[0]), parse_int(parts[1])
+        except ValueError:
+            return ParseError(f"line {lineno}: edge endpoints must be integers")
+        if not (0 <= u < n and 0 <= v < n):
+            return ParseError(f"line {lineno}: vertex out of range")
+        if u == v:
+            return ParseError(f"line {lineno}: self-loop at vertex {u}")
+    return ParseError(f"line {len(lines) + 1}: expected {m} edges, input ended early")
+
+
+def _ref_parse_partition(text):
+    lines = text.splitlines()
+    k, m = _ref_parse_header(lines, "k m")
+    if m > len(lines) - 1:
+        raise ParseError(f"line {len(lines) + 1}: expected {m} assignments, input ended early")
+    part = [None] * m
+    num = number_reader(text)
+    for i in range(m):
+        lineno = i + 2
+        fields = lines[lineno - 1].split()
+        if len(fields) != 2:
+            raise ParseError(f"line {lineno}: assignment line must be 'edge_id part_id'")
+        try:
+            e, q = num(fields[0]), num(fields[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: assignment must be two integers") from None
+        if not 0 <= e < m:
+            raise ParseError(f"line {lineno}: edge id {e} out of range")
+        if not 0 <= q < k:
+            raise ParseError(f"line {lineno}: part id {q} out of range")
+        if part[e] is not None:
+            raise ParseError(f"line {lineno}: edge {e} assigned twice")
+        part[e] = q
+    if any(map(str.strip, lines[m + 1:])):
+        raise ParseError(f"line {m + 2}: trailing content after {m} assignments")
+    return EdgePartition(k, tuple(part))
+
+
+# every separator that str.splitlines knows is here, "\r\n" as one
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _random_text(rng, tokens):
+    lines = [" ".join(rng.choice(tokens) for _ in range(rng.choice((0, 1, 2, 2, 2, 2, 3))))
+             for _ in range(rng.randrange(8))]
+    if rng.random() < 0.8:  # a header that often fits, at most 10^6
+        lines.insert(0, f"{rng.randrange(4)} {rng.choice((len(lines), len(lines) - 1, rng.randrange(6), 10**6))}")
+    pads = ("", "", " ", "\t")
+    text = "".join(rng.choice(pads) + line + rng.choice(pads) + rng.choice(_SEPARATORS) for line in lines)
+    return text if rng.random() < 0.5 else text[:len(text) - rng.randrange(2)]
+
+
+@pytest.mark.parametrize("piece", range(1, 17))
+def test_text_lines_cuts_keep_every_line(monkeypatch, piece):
+    monkeypatch.setattr(semireg_graph, "_PIECE", piece)
+    rng = random.Random(piece)
+    texts = ["", "\n", "\n\n\n", "\r\n\r\n", "a\r\nb\r\n\r\n\nc", " \n \n", "ab" * 20,
+             "\n".join([""] * piece + ["x" * piece, ""])]
+    for _ in range(200):
+        texts.append("".join(rng.choice(("", " ", "ab", "1 2", "x" * piece)) + rng.choice(_SEPARATORS)
+                             for _ in range(rng.randrange(12))) + rng.choice(("", "tail")))
+    for text in texts:
+        assert list(text_lines(text)) == text.splitlines(), repr(text)
+
+
+@pytest.mark.parametrize("piece", range(1, 17))
+def test_readers_match_the_whole_text_readers(monkeypatch, piece):
+    monkeypatch.setattr(semireg_graph, "_PIECE", piece)
+    rng = random.Random(100 + piece)
+    tokens = ["0", "1", "2", "3", "9", "-1", "x", "+1", "0_1", "\u0661", "1.0"]
+    cases = [
+        # a bad edge line wins over trailing content and over a short text
+        "3 1\n0 9\nextra\n", "3 2\n0 x\n", "3 3\n0 1\n1 1\n",
+        # an over-counting header wins over a bad assignment line
+        "2 5\n0 x\n", "2 3\n0 0\n0 0\n", "1 1000000\n9 9\n",
+        "2 2\n0 1\n1 0\n\n \n", "2 1\r\n0 1\r\n", "2 2\n0 1\n1 0", "3 1\n0 1\n\n1 2",
+    ]
+    cases += [_random_text(rng, tokens) for _ in range(400)]
+    for text in cases:
+        assert _outcome(parse_graph, text) == _outcome(_ref_parse_graph, text), repr(text)
+        assert _outcome(parse_partition, text) == _outcome(_ref_parse_partition, text), repr(text)
+
+
+def _traced(build):
+    """(result, bytes it holds, peak bytes) of ``build()`` under tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - start, peak - start
+
+
+def test_a_parse_holds_no_line_list():
+    # a 10^5-edge path: at most 15% above the graph the parse returns
+    m = 100_000
+    text = f"{m + 1} {m}\n" + "".join(f"{v} {v + 1}\n" for v in range(m))
+    g, held, peak = _traced(lambda: parse_graph(text))
+    assert g.m == m and peak <= 1.15 * held, (peak, held)
+    # the list of part ids that the reader fills and the record's own copy
+    # set the floor: the parse may add at most 15% to building the record
+    # from that list (fewer lines, as tracing slows each line)
+    m = 10_000
+    text = f"2 {m}\n" + "".join(f"{e} {e % 2}\n" for e in range(m))
+    p, _, peak = _traced(lambda: parse_partition(text))
+    _, _, floor = _traced(lambda: EdgePartition(2, list(p.part)))
+    assert p.part == tuple(e % 2 for e in range(m)) and peak <= 1.15 * floor, (peak, floor)

@@ -262,8 +262,19 @@ def test_oversized_gadget_header_is_refused_before_classify(tmp_path, monkeypatc
     (tmp_path / "H.gadget").write_text(text)
     (tmp_path / "f.nae").write_text("0 1 2\n0 1 2\n0 1 2\n")
     assert run(["reduce", str(tmp_path / "f.nae"), "--variant", "thm2", "--gadgets", str(tmp_path)]) == 2
-    assert "input error: gadget 'H'" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"input error: gadget 'H' ({tmp_path / 'H.gadget'}): 1000000 vertices, "
+        "more than 2 * 3 edges + 2 ports, so one keeps degree 0")
     assert 1000000 not in classified
+
+
+def test_load_gadget_set_names_the_file_of_a_structural_error(tmp_path):
+    for name in ("B", "I"):
+        shutil.copy(os.path.join(GADGETS_DIR, "thm2", f"{name}.gadget"), tmp_path)
+    (tmp_path / "H.gadget").write_text("3 3\n0 1\n1 2\n2 0\nport a 0\nport t 1\n")  # odd cycle
+    with pytest.raises(GadgetError) as err:
+        load_gadget_set(str(tmp_path), "thm2")
+    assert str(err.value) == f"gadget 'H' ({tmp_path / 'H.gadget'}): is not bipartite"
 
 
 def test_build_reduction_checks_degrees_before_classifying_the_instance(monkeypatch):
